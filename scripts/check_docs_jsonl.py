@@ -6,8 +6,10 @@ every fenced ```jsonl block from the given markdown files, checks that
 each line parses as JSON, and validates any manifest line against the
 real schema in :mod:`repro.telemetry.manifest` — the keys
 :func:`run_manifest` emits, with the right value types and the current
-schema version.  Round-record lines are checked against the
-:class:`repro.simulation.trace.RoundTrace` field set.
+schema version; a shard manifest's ``spec`` must carry exactly the
+:class:`repro.parallel.sharding.SweepSpec` fields.  Round-record lines
+are checked against the :class:`repro.simulation.trace.RoundTrace`
+field set.
 
 Usage: PYTHONPATH=src python scripts/check_docs_jsonl.py docs/observability.md
 """
@@ -22,6 +24,7 @@ from pathlib import Path
 
 from repro.checkpoint import CHECKPOINT_KIND, CHECKPOINT_SCHEMA
 from repro.parallel.scheduler import SCHED_EVENT_KIND
+from repro.parallel.sharding import SweepSpec
 from repro.parallel.status import STATUS_KIND, STATUS_SCHEMA
 from repro.simulation.trace import PATH_KIND, RoundTrace
 from repro.telemetry.manifest import (
@@ -230,6 +233,14 @@ def check_shard_manifest(obj: dict, where: str) -> list[str]:
     fp = obj.get("spec_fingerprint", "")
     if not re.fullmatch(r"[0-9a-f]{16}", fp):
         errors.append(f"{where}: spec_fingerprint {fp!r} is not 16 hex digits")
+    spec = obj.get("spec")
+    expected = {f.name for f in fields(SweepSpec)}
+    if isinstance(spec, dict) and set(spec) != expected:
+        errors.append(
+            f"{where}: shard manifest spec keys differ from SweepSpec: "
+            f"missing {sorted(expected - set(spec))}, "
+            f"unknown {sorted(set(spec) - expected)}"
+        )
     return errors
 
 

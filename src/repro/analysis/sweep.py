@@ -8,8 +8,8 @@ protocol object; nothing stateful crosses the process boundary).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,10 +25,9 @@ from ..baselines import (
     TLLEACHProtocol,
 )
 from ..baselines.base import ClusteringProtocol
-from ..config import RoutingConfig, paper_config
 from ..core import QLECProtocol
-from ..kernels import resolve_backend_name
 from ..parallel import SweepSpec, fold_results, run_tasks
+from ..parallel.sharding import cell_config
 from ..telemetry import Telemetry, merge_snapshots
 from .stats import mean_ci
 
@@ -111,26 +110,14 @@ def run_cell(
     metric snapshot under ``"telemetry"`` (a plain JSON-able dict — the
     picklable per-worker half of the sweep-level merge).
 
-    ``backend`` selects the kernel backend; the *resolved* name is
-    written into the cell's config before running, so the config
-    fingerprint (and hence the sharding cell ID) pins the concrete
-    backend — a resumed or merged artifact can never silently mix
-    backends with different availability.
-
-    ``faults`` names a chaos scenario from
-    :data:`repro.faults.FAULT_SCENARIOS`; the plan is materialised
-    against the cell's config (so the chaos scales with the scenario)
-    and, being a config field, hashes into the fingerprint/cell ID.
-
-    ``equivalence`` declares the cell's numeric tier
-    (:data:`repro.kernels.EQUIVALENCE_CHOICES`) and ``max_block_mb``
-    bounds the distance-block footprint for large-N scenarios; both
-    are config fields, so both hash into the fingerprint/cell ID —
-    bitwise and statistical artifacts can never silently mix.
-
-    ``routing`` selects the multi-hop substrate
-    (:data:`repro.config.ROUTING_CHOICES`); also a config field, so it
-    too hashes into the fingerprint/cell ID.
+    The config comes from :func:`repro.parallel.sharding.cell_config`,
+    the same derivation :meth:`~repro.parallel.SweepSpec.cells`
+    fingerprints, so the config a cell runs is exactly the one its cell
+    ID pins: the *resolved* ``backend`` (never ``"auto"``), the
+    ``faults`` scenario materialised against the cell's config, and the
+    ``equivalence`` tier, ``max_block_mb`` budget and ``routing``
+    substrate as config fields — artifacts can never silently mix
+    backends, tiers or substrates.
 
     ``checkpoint_every`` + ``checkpoint_dir`` make the cell
     *preemptible*: the engine snapshots its complete state every N
@@ -143,22 +130,17 @@ def run_cell(
     """
     if protocol not in PROTOCOLS:
         raise KeyError(f"unknown protocol {protocol!r}; known: {sorted(PROTOCOLS)}")
-    config = dataclasses.replace(
-        paper_config(
-            mean_interarrival=mean_interarrival,
-            seed=seed,
-            rounds=rounds,
-            initial_energy=initial_energy,
-        ),
-        backend=resolve_backend_name(backend),
+    config = cell_config(
+        mean_interarrival,
+        seed,
+        initial_energy=initial_energy,
+        rounds=rounds,
+        backend=backend,
+        faults=faults,
         equivalence=equivalence,
         max_block_mb=max_block_mb,
-        routing=RoutingConfig(kind=routing),
+        routing=routing,
     )
-    if faults:
-        from ..faults import build_fault_plan
-
-        config = config.replace(faults=build_fault_plan(faults, config))
     proto = PROTOCOLS[protocol]()
     engine = None
     ckpt_tag = None
@@ -318,10 +300,11 @@ def sweep_from_spec(
     so a serial run, a pooled run, and a K-shard merge all produce
     rows in the same order with the same values.
     """
-    rows = list(
-        run_tasks(
-            run_cell, spec.cell_args(), max_workers=max_workers, serial=serial
-        )
+    rows = run_tasks(
+        partial(run_cell, **spec.cell_kwargs()),
+        [(c.protocol, c.lam, c.seed) for c in spec.cells()],
+        max_workers=max_workers,
+        serial=serial,
     )
     merged = None
     if spec.telemetry:

@@ -622,89 +622,65 @@ def _cmd_sweep(args) -> int:
         if args.compress
         else ""
     )
-    if args.scheduler:
-        if (shard, num_shards) != (1, 1):
-            print(
-                "error: --scheduler runs the whole grid; "
-                "it cannot be combined with --shard "
-                f"{shard}/{num_shards}",
-                file=sys.stderr,
-            )
-            return 2
-        out = args.out or f"sweep-scheduled.jsonl{suffix}"
-        with drain_on_signals() as stop:
-            sched = run_scheduled(
-                spec,
-                out,
-                num_workers=args.workers,
-                resume=not args.no_resume,
-                retries=args.retries,
-                compression=args.compress,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=(
-                    args.checkpoint_dir if args.checkpoint_every else None
-                ),
-                checkpoint_keep_last=args.keep_last,
-                stop_requested=stop,
-                **(
-                    {"lease_seconds": args.lease_seconds}
-                    if args.lease_seconds is not None
-                    else {}
-                ),
-            )
+    if args.scheduler and (shard, num_shards) != (1, 1):
         print(
-            f"scheduled: {len(spec)} cells -> {sched.path}"
+            "error: --scheduler runs the whole grid; "
+            "it cannot be combined with --shard "
+            f"{shard}/{num_shards}",
+            file=sys.stderr,
         )
-        print(
-            f"  executed {len(sched.executed)}, resumed {len(sched.skipped)}, "
-            f"errors {len(sched.errors)}; steals {sched.steals}, "
-            f"reclaims {sched.reclaims}, worker deaths {sched.worker_deaths}"
-        )
-        for err in sched.errors:
-            print(
-                f"  ERROR cell {err['cell_id']} "
-                f"({err['protocol']}, lambda={err['lambda']}, "
-                f"seed={err['seed']}): "
-                f"{err['error']['type']}: {err['error']['message']}"
-            )
-        if stop.requested:
-            print(
-                "drained: artifact left resumable; "
-                "re-run the same command to finish"
-            )
-        return 1 if sched.errors else 0
-    out = args.out or f"sweep-shard-{shard}of{num_shards}.jsonl{suffix}"
+        return 2
+    options = dict(
+        resume=not args.no_resume,
+        retries=args.retries,
+        compression=args.compress,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
+        checkpoint_keep_last=args.keep_last,
+    )
     with drain_on_signals() as stop:
-        result = run_shard(
-            spec,
-            shard,
-            num_shards,
-            out,
-            resume=not args.no_resume,
-            max_workers=args.workers,
-            serial=args.serial,
-            retries=args.retries,
-            compression=args.compress,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=(
-                args.checkpoint_dir if args.checkpoint_every else None
-            ),
-            checkpoint_keep_last=args.keep_last,
-            stop_requested=stop,
-        )
+        if args.scheduler:
+            if args.lease_seconds is not None:
+                options["lease_seconds"] = args.lease_seconds
+            result = run_scheduled(
+                spec,
+                args.out or f"sweep-scheduled.jsonl{suffix}",
+                num_workers=args.workers,
+                stop_requested=stop,
+                **options,
+            )
+        else:
+            result = run_shard(
+                spec,
+                shard,
+                num_shards,
+                args.out or f"sweep-shard-{shard}of{num_shards}.jsonl{suffix}",
+                max_workers=args.workers,
+                serial=args.serial,
+                stop_requested=stop,
+                **options,
+            )
     if stop.requested:
         print(
             "drained: artifact left resumable; "
             "re-run the same command to finish"
         )
-    print(
-        f"shard {shard}/{num_shards}: {len(result.cells)} of {len(spec)} "
-        f"cells -> {result.path}"
-    )
-    print(
+    counts = (
         f"  executed {len(result.executed)}, resumed {len(result.skipped)}, "
         f"errors {len(result.errors)}"
     )
+    if args.scheduler:
+        print(f"scheduled: {len(spec)} cells -> {result.path}")
+        print(
+            f"{counts}; steals {result.steals}, reclaims {result.reclaims}, "
+            f"worker deaths {result.worker_deaths}"
+        )
+    else:
+        print(
+            f"shard {shard}/{num_shards}: {len(result.cells)} of {len(spec)} "
+            f"cells -> {result.path}"
+        )
+        print(counts)
     for err in result.errors:
         print(
             f"  ERROR cell {err['cell_id']} "

@@ -1,11 +1,10 @@
 """Parallel sweep machinery: process pools, seeds, and sweep sharding."""
 
-from .pool import default_workers, fold_results, iter_tasks, run_tasks
+from .pool import default_workers, fold_results, run_tasks
 from .rng import SeedFactory, spawn_generators
 from .scheduler import (
     SCHED_EVENT_KIND,
     Lease,
-    ScheduledRunResult,
     SweepScheduler,
     run_scheduled,
     scheduler_events_path,
@@ -42,7 +41,6 @@ __all__ = [
     "SCHED_EVENT_KIND",
     "STATUS_KIND",
     "STATUS_SCHEMA",
-    "ScheduledRunResult",
     "SeedFactory",
     "ShardArtifact",
     "ShardRunResult",
@@ -56,7 +54,6 @@ __all__ = [
     "drain_on_signals",
     "find_status_files",
     "fold_results",
-    "iter_tasks",
     "load_artifact",
     "load_status",
     "merge_artifacts",

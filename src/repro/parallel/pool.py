@@ -4,6 +4,9 @@ A sweep is a grid of independent simulation cells; this module fans
 them out over a :class:`concurrent.futures.ProcessPoolExecutor` (the
 natural Python analogue of the MPI fan-out pattern in the HPC guides:
 no shared state, explicit task messages, deterministic per-task RNG).
+It serves in-memory sweeps (:func:`repro.analysis.sweep.sweep_from_spec`)
+and ad-hoc grids; runs that write artifacts go through the sweep
+driver in :mod:`repro.parallel.scheduler` instead.
 
 Design notes
 ------------
@@ -25,9 +28,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["run_tasks", "iter_tasks", "fold_results", "default_workers"]
+__all__ = ["run_tasks", "fold_results", "default_workers"]
 
 
 def default_workers(
@@ -84,56 +87,17 @@ def run_tasks(
     Returns
     -------
     list
-        Results in the order of ``argtuples``.
-    """
-    return list(
-        iter_tasks(
-            fn,
-            argtuples,
-            max_workers=max_workers,
-            serial=serial,
-            chunksize=chunksize,
-        )
-    )
-
-
-def iter_tasks(
-    fn: Callable[..., Any],
-    argtuples: Sequence[tuple] | Iterable[tuple],
-    max_workers: int | None = None,
-    serial: bool = False,
-    chunksize: int = 1,
-) -> Iterator[Any]:
-    """Streaming variant of :func:`run_tasks`.
-
-    Yields results in submission order as they become available, which
-    lets callers checkpoint incrementally (the shard runner appends a
-    row to its artifact after every completed cell, so a crash loses at
-    most the in-flight cells).  Exhausting the iterator is equivalent
-    to :func:`run_tasks`; abandoning it tears the pool down.
-
-    Arguments are validated here, eagerly — a bad ``chunksize`` or
-    ``max_workers`` raises at the call site, not on the first
-    ``next()`` of a generator someone may hold unadvanced for a while.
+        Results in the order of ``argtuples``.  The first exception a
+        task raises propagates to the caller.
     """
     tasks = [(fn, tuple(args)) for args in argtuples]
     if chunksize < 1:
         raise ValueError("chunksize must be >= 1")
     workers = default_workers(max_workers, n_tasks=len(tasks) or None)
-    return _iter_tasks(tasks, workers, serial, chunksize)
-
-
-def _iter_tasks(
-    tasks: list[tuple], workers: int, serial: bool, chunksize: int
-) -> Iterator[Any]:
-    if not tasks:
-        return
-    if serial or workers == 1 or len(tasks) == 1:
-        for t in tasks:
-            yield _call(t)
-        return
+    if serial or workers == 1 or len(tasks) <= 1:
+        return [_call(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_call, tasks, chunksize=chunksize)
+        return list(pool.map(_call, tasks, chunksize=chunksize))
 
 
 def fold_results(

@@ -29,19 +29,15 @@ Two layers:
   ``cell-error`` record (the hypothesis property suite drives random
   interleavings against this invariant).
 
-* :func:`run_scheduled` — the **process driver**.  One coordinator
-  owns the state machine and the artifact; each worker is a separate
-  ``multiprocessing`` process fed over a pipe.  A worker death
-  (SIGKILL, OOM) surfaces as pipe EOF: the coordinator reclaims its
-  lease, counts a worker death, and respawns a replacement, so a
-  chaos-killed fleet heals itself.  Rows stream into the artifact as
-  they are accepted (same JSONL schema as a shard artifact, under the
-  reserved ``shard 0/0`` whole-grid marker, optionally zstd/gzip
-  compressed), so ``merge_artifacts`` and ``repro merge`` consume a
-  scheduler artifact unchanged — and :meth:`SweepScheduler.partial_sweep`
-  lets a coordinator serve partial :class:`~repro.analysis.sweep.SweepResult`
-  views while the grid is still running (the ``repro serve`` loop in
-  :mod:`repro.parallel.serve` does exactly that).
+* :func:`_run_grid` — the **sweep driver**, the one body behind
+  :func:`run_scheduled` (whole grid, ``shard 0/0`` marker) and
+  :func:`~repro.parallel.sharding.run_shard` (one static shard,
+  ``k/K``): resume mining, the atomic rewrite, streamed rows, status,
+  drain.  Cells run in-process for a serial or one-worker static
+  shard; otherwise each worker is a separate ``multiprocessing``
+  process fed over a pipe.  A worker death (SIGKILL, OOM) surfaces as
+  pipe EOF: the coordinator reclaims its lease, counts a worker death,
+  and respawns a replacement, so a chaos-killed fleet heals itself.
 
 Scheduler *events* (lease grants, steals, reclaims, requeues, worker
 deaths, duplicate drops) are appended to an ``<artifact>.events.jsonl``
@@ -52,27 +48,26 @@ tests and the CI determinism gate assert re-lease decisions from them.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 from ..telemetry.jsonl import JsonlWriter
-from ..telemetry.manifest import shard_manifest
 from ..telemetry.registry import merge_snapshots
 from .pool import default_workers, fold_results
 from .sharding import (
     CELL_KIND,
     SHARD_TELEMETRY_KIND,
+    ShardRunResult,
     SweepCell,
     SweepSpec,
     _cell_record,
-    _default_cell_fn,
     _dump,
     _error_record,
     _guarded_cell,
+    _write_artifact,
     artifact_compression,
     load_artifact,
     partition_cells,
@@ -82,7 +77,6 @@ from .status import ShardStatusWriter
 __all__ = [
     "SCHED_EVENT_KIND",
     "Lease",
-    "ScheduledRunResult",
     "SweepScheduler",
     "run_scheduled",
     "scheduler_events_path",
@@ -192,11 +186,6 @@ class SweepScheduler:
     def finished(self) -> bool:
         return len(self.rows) + len(self.errors) == len(self.cells)
 
-    @property
-    def outstanding(self) -> int:
-        """Cells not yet finished (queued or leased)."""
-        return len(self.cells) - len(self.rows) - len(self.errors)
-
     def lease_of(self, worker: str) -> Lease | None:
         for lease in self.leases.values():
             if lease.worker == worker:
@@ -283,13 +272,8 @@ class SweepScheduler:
         """Extend the deadline of ``worker``'s lease (liveness signal)."""
         lease = self.lease_of(worker)
         if lease is not None:
-            self.leases[lease.cell_id] = Lease(
-                cell_id=lease.cell_id,
-                worker=lease.worker,
-                attempt=lease.attempt,
-                granted_at=lease.granted_at,
-                deadline=now + self.lease_seconds,
-                stolen=lease.stolen,
+            self.leases[lease.cell_id] = replace(
+                lease, deadline=now + self.lease_seconds
             )
 
     def reclaim_expired(self, now: float) -> list[str]:
@@ -307,19 +291,9 @@ class SweepScheduler:
         expired = [
             lease for lease in self.leases.values() if lease.deadline <= now
         ]
-        reclaimed = []
         for lease in expired:
-            self.reclaims += 1
-            self._event(
-                "reclaim",
-                cell_id=lease.cell_id,
-                worker=lease.worker,
-                attempt=lease.attempt,
-                reason="lease-expired",
-            )
-            self._requeue_or_exhaust(lease, reason="lease-expired")
-            reclaimed.append(lease.cell_id)
-        return reclaimed
+            self._reclaim(lease, reason="lease-expired")
+        return [lease.cell_id for lease in expired]
 
     def worker_lost(self, worker: str, now: float, reason: str = "died") -> None:
         """Reclaim the lease of a worker that will never report back.
@@ -335,57 +309,68 @@ class SweepScheduler:
             cell_id=None if lease is None else lease.cell_id,
             reason=reason,
         )
-        if lease is None:
-            return
+        if lease is not None:
+            self._reclaim(lease, reason=reason)
+
+    def _reclaim(self, lease: Lease, reason: str) -> None:
         self.reclaims += 1
         self._event(
             "reclaim",
             cell_id=lease.cell_id,
-            worker=worker,
+            worker=lease.worker,
             attempt=lease.attempt,
             reason=reason,
         )
-        self._requeue_or_exhaust(lease, reason=reason)
-
-    def _requeue_or_exhaust(self, lease: Lease, reason: str) -> None:
         del self.leases[lease.cell_id]
         if lease.attempt >= self.max_lease_attempts:
-            cell = self.cells[lease.cell_id]
-            self.errors[lease.cell_id] = _error_record(
-                cell,
-                {
-                    "type": "LeaseExhausted",
-                    "message": (
-                        f"{lease.attempt} lease(s) lost "
-                        f"(last: {reason}) without a result"
-                    ),
-                    "class": "transient",
-                },
-                lease.attempt,
-            )
-            self._event(
-                "error",
-                cell_id=lease.cell_id,
-                worker=lease.worker,
-                attempt=lease.attempt,
-                error_class="transient",
-                error_type="LeaseExhausted",
+            error = {
+                "type": "LeaseExhausted",
+                "message": (
+                    f"{lease.attempt} lease(s) lost "
+                    f"(last: {reason}) without a result"
+                ),
+                "class": "transient",
+            }
+            self._error(
+                lease.cell_id, lease.worker, error, lease.attempt, lease.attempt
             )
         else:
-            # Back of the cell's home-rank queue: the next claimant is
-            # whoever drains (or steals from) that queue first.
-            self._home_queue(lease.cell_id).append(lease.cell_id)
-            self._event(
-                "requeue",
-                cell_id=lease.cell_id,
-                attempt=lease.attempt,
-                reason=reason,
-            )
+            self._requeue(lease.cell_id, lease.attempt, reason)
 
-    def _home_queue(self, cell_id: str) -> deque:
-        return self.queues[self._rank[cell_id] % self.num_queues]
+    def _requeue(self, cell_id: str, attempt: int, reason: str) -> None:
+        # Back of the cell's home-rank queue: the next claimant is
+        # whoever drains (or steals from) that queue first.
+        self.queues[self._rank[cell_id] % self.num_queues].append(cell_id)
+        self._event("requeue", cell_id=cell_id, attempt=attempt, reason=reason)
+
+    def _error(
+        self, cell_id: str, worker: str, error: dict, attempts: int, grants: int
+    ) -> dict:
+        self._purge(cell_id)
+        record = _error_record(self.cells[cell_id], error, attempts)
+        self.errors[cell_id] = record
+        self._event(
+            "error",
+            cell_id=cell_id,
+            worker=worker,
+            attempt=grants,
+            error_class=error.get("class", "transient"),
+            error_type=error.get("type", "Exception"),
+        )
+        return record
 
     # -- completion / failure -----------------------------------------
+    def _duplicate(self, cell_id: str, worker: str) -> bool:
+        """Whether a report concerns an already-finished cell (counted
+        and dropped); unknown cells raise."""
+        if cell_id not in self.cells:
+            raise ValueError(f"unknown cell {cell_id}")
+        if cell_id in self.rows or cell_id in self.errors:
+            self.duplicates += 1
+            self._event("duplicate", cell_id=cell_id, worker=worker)
+            return True
+        return False
+
     def complete(
         self, worker: str, cell_id: str, summary: dict, attempts: int, now: float
     ) -> dict | None:
@@ -400,11 +385,7 @@ class SweepScheduler:
         still unfinished is *accepted*: the computation is valid
         regardless of who holds the paper.
         """
-        if cell_id not in self.cells:
-            raise ValueError(f"unknown cell {cell_id}")
-        if cell_id in self.rows or cell_id in self.errors:
-            self.duplicates += 1
-            self._event("duplicate", cell_id=cell_id, worker=worker)
+        if self._duplicate(cell_id, worker):
             return None
         self.leases.pop(cell_id, None)
         self._purge(cell_id)
@@ -428,11 +409,7 @@ class SweepScheduler:
         transient → requeue until ``max_lease_attempts`` grants are
         spent, then an error row.
         """
-        if cell_id not in self.cells:
-            raise ValueError(f"unknown cell {cell_id}")
-        if cell_id in self.rows or cell_id in self.errors:
-            self.duplicates += 1
-            self._event("duplicate", cell_id=cell_id, worker=worker)
+        if self._duplicate(cell_id, worker):
             return None
         lease = self.leases.get(cell_id)
         if lease is None or lease.worker != worker:
@@ -448,24 +425,9 @@ class SweepScheduler:
         del self.leases[cell_id]
         grants = self.attempts.get(cell_id, 1)
         if error.get("class") == "deterministic" or grants >= self.max_lease_attempts:
-            self._purge(cell_id)
-            record = _error_record(self.cells[cell_id], error, attempts)
-            self.errors[cell_id] = record
-            self._event(
-                "error",
-                cell_id=cell_id,
-                worker=worker,
-                attempt=grants,
-                error_class=error.get("class", "transient"),
-                error_type=error.get("type", "Exception"),
-            )
-            return record
-        self._home_queue(cell_id).append(cell_id)
-        self._event(
-            "requeue",
-            cell_id=cell_id,
-            attempt=grants,
-            reason=f"transient-{error.get('type', 'error')}",
+            return self._error(cell_id, worker, error, attempts, grants)
+        self._requeue(
+            cell_id, grants, reason=f"transient-{error.get('type', 'error')}"
         )
         return None
 
@@ -525,11 +487,11 @@ class SweepScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Process driver
+# The sweep driver
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, cell_fn, retries: int) -> None:
+def _worker_main(conn, cell_fn, kwargs: dict, retries: int) -> None:
     """Worker-process loop: recv a cell, run it guarded, send the result."""
     try:
         while True:
@@ -538,7 +500,7 @@ def _worker_main(conn, cell_fn, retries: int) -> None:
                 return
             _, cell_id, args = msg
             status, payload, attempts = _guarded_cell(
-                cell_fn, tuple(args), retries
+                cell_fn, args, retries, kwargs
             )
             conn.send((cell_id, status, payload, attempts))
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
@@ -553,10 +515,14 @@ class _Worker:
     conn: object
 
     @classmethod
-    def spawn(cls, ctx, name: str, index: int, cell_fn, retries: int) -> "_Worker":
+    def spawn(
+        cls, ctx, name: str, index: int, cell_fn, kwargs: dict, retries: int
+    ) -> "_Worker":
         parent, child = ctx.Pipe()
         proc = ctx.Process(
-            target=_worker_main, args=(child, cell_fn, retries), daemon=True
+            target=_worker_main,
+            args=(child, cell_fn, kwargs, retries),
+            daemon=True,
         )
         proc.start()
         child.close()  # the parent keeps only its own end
@@ -574,80 +540,330 @@ class _Worker:
         self.conn.close()
 
 
-@dataclass
-class ScheduledRunResult:
-    """Outcome of one :func:`run_scheduled` invocation."""
-
-    spec: SweepSpec
-    path: Path
-    cells: list[SweepCell]
-    executed: list[str] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
-    steals: int = 0
-    reclaims: int = 0
-    duplicates: int = 0
-    worker_deaths: int = 0
-    events_path: Path | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def _mine_resume(
-    spec: SweepSpec, out_path: Path, cells
+    spec: SweepSpec,
+    out_path: Path,
+    cells: list[SweepCell],
+    marker: tuple[int, int],
+    resume: bool,
 ) -> tuple[dict[str, dict], bool]:
-    """Mine an existing artifact for reusable rows.
+    """Mine an existing artifact for reusable rows: ``(retained, stale)``.
 
-    Returns ``(retained, stale)``: rows reusable under ``spec`` keyed
-    by cell ID, and whether the file holds anything a canonical rewrite
-    would drop (error rows, stale-fingerprint rows, duplicates, a
-    missing or misplaced telemetry trailer).  Same retention rules as
-    :func:`~repro.parallel.sharding.run_shard` — in particular a
-    torn final line (dropped by the tolerant reader) just loses that
-    one record, and an instrumented resume refuses rows recorded
-    without their telemetry snapshot.
+    A row is reused iff it is a ``cell`` row with the exact ID of one
+    of ``cells`` (the ID embeds the config fingerprint) and, for an
+    instrumented spec, its telemetry snapshot — by ID alone, so growing
+    a grid recomputes only the new cells.  ``stale`` says a canonical
+    rewrite would differ from the file.  A torn final line (dropped by
+    the tolerant reader) just loses that one record.  A file that is
+    not an artifact raises ``ValueError`` naming the path — even with
+    ``resume=False`` — so a sweep never overwrites a file it did
+    not write.
     """
-    by_id = {c.cell_id: c for c in cells}
-    retained: dict[str, dict] = {}
     if not out_path.exists():
-        return retained, False
-    try:
-        artifact = load_artifact(out_path)
-    except ValueError:
-        return retained, True  # unreadable artifact: recompute everything
-    stale = False
-    trailers = 0
-    for record in artifact.records:
-        kind = record.get("kind")
+        return {}, False
+    artifact = load_artifact(out_path)
+    if not resume:
+        return {}, True
+    wanted = {c.cell_id for c in cells}
+    records = artifact.records
+    trailer = bool(records) and records[-1].get("kind") == SHARD_TELEMETRY_KIND
+    body = records[:-1] if trailer else records
+    retained: dict[str, dict] = {}
+    for record in body:
         if (
-            kind == CELL_KIND
-            and record.get("cell_id") in by_id
+            record.get("kind") == CELL_KIND
+            and record.get("cell_id") in wanted
+            # An instrumented resume can't reuse a row recorded
+            # without its telemetry snapshot.
             and (not spec.telemetry or "telemetry" in record)
         ):
-            if record["cell_id"] in retained:
-                stale = True  # duplicate row
-            else:
-                retained[record["cell_id"]] = record
-        elif kind == SHARD_TELEMETRY_KIND:
-            trailers += 1
-        else:
-            stale = True  # error rows, foreign/stale-fingerprint cells
-    if artifact.manifest.get("spec_fingerprint") != spec.fingerprint or (
-        artifact.manifest.get("shard"),
-        artifact.manifest.get("num_shards"),
-    ) != (0, 0):
-        return {}, True
-    if spec.telemetry:
-        if trailers != 1 or (
-            not artifact.records
-            or artifact.records[-1].get("kind") != SHARD_TELEMETRY_KIND
-        ):
-            stale = True
-    elif trailers:
-        stale = True
+            retained.setdefault(record["cell_id"], record)
+    manifest = artifact.manifest
+    stale = (
+        manifest.get("spec_fingerprint") != spec.fingerprint
+        or (manifest.get("shard"), manifest.get("num_shards")) != marker
+        # Canonical: the retained rows and nothing else, then one
+        # telemetry trailer iff the spec is instrumented.
+        or len(body) != len(retained)
+        or trailer != spec.telemetry
+    )
     return retained, stale
+
+
+def _run_grid(
+    spec: SweepSpec,
+    cells: list[SweepCell],
+    out_path,
+    *,
+    marker: tuple[int, int],
+    workers: int | None,
+    serial: bool,
+    scheduled: bool,
+    resume: bool,
+    retries: int,
+    cell_fn: Callable | None,
+    compression: str | None,
+    lease_seconds: float,
+    max_lease_attempts: int,
+    checkpoint_every: int | None,
+    checkpoint_dir,
+    checkpoint_keep_last: int,
+    stop_requested: Callable[[], bool] | None,
+    poll_seconds: float = 0.1,
+    on_progress: Callable | None = None,
+    mp_context: str | None = None,
+) -> ShardRunResult:
+    """Run ``cells`` of ``spec`` into one artifact: the shared body of
+    :func:`~repro.parallel.sharding.run_shard` and :func:`run_scheduled`.
+
+    Mine the existing artifact (:func:`_mine_resume`), leave a complete
+    one byte-untouched, else rewrite it atomically and append rows as
+    the :class:`SweepScheduler` accepts them — in-process for a serial
+    or one-worker static shard (no fork, canonical row order), else on
+    the pipe-fed worker fleet (completion order).  A ``scheduled`` run
+    keeps its fleet even at one worker — a separate process is what
+    survives a worker death — and adds the manifest's ``scheduler``
+    block and the events sidecar.
+
+    Drain: ``stop_requested`` is polled after every accepted row and
+    while the coordinator waits; once true, no new lease is granted,
+    in-flight rows are accepted, and an unfinished grid ends
+    ``stopped`` without a trailer, so the next resume computes exactly
+    the missing cells.
+    """
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    out_path = Path(out_path)
+    codec = artifact_compression(out_path, compression)
+    retained, stale = _mine_resume(spec, out_path, cells, marker, resume)
+    pending = [c for c in cells if c.cell_id not in retained]
+    workers_n = default_workers(workers, n_tasks=len(pending) or None)
+    inline = not scheduled and (serial or workers_n == 1)
+    result = ShardRunResult(
+        spec=spec,
+        shard=marker[0],
+        num_shards=marker[1],
+        path=out_path,
+        cells=cells,
+        skipped=sorted(retained),
+        events_path=scheduler_events_path(out_path) if scheduled else None,
+    )
+    # Live progress goes to a *sidecar*, never the artifact itself (see
+    # repro.parallel.status).
+    progress = ShardStatusWriter(
+        out_path,
+        spec_fingerprint=spec.fingerprint,
+        shard=marker[0],
+        num_shards=marker[1],
+        cells_total=len(cells),
+    )
+
+    progress.start(resumed=len(retained))
+    if not pending and not stale:
+        # Complete artifact: recompute nothing, leave the artifact
+        # byte-untouched — but still refresh the sidecar so `repro
+        # status` reports this (re)invocation as complete.
+        progress.finish()
+        return result
+
+    extra = None
+    if scheduled:
+        extra = {
+            "scheduler": {
+                "workers": workers_n,
+                "lease_seconds": float(lease_seconds),
+                "max_lease_attempts": int(max_lease_attempts),
+                "compression": codec,
+            }
+        }
+    records: list[dict] = [
+        retained[c.cell_id] for c in cells if c.cell_id in retained
+    ]
+    # Newly computed rows append to the rewritten file, keeping the
+    # stream-checkpoint property (on a compressed artifact the append
+    # session is a fresh member/frame, which the concatenation-aware
+    # tolerant reader handles).
+    _write_artifact(out_path, codec, spec, marker, records, extra)
+
+    # One home queue in-process, so rows land in canonical order.
+    scheduler = SweepScheduler(
+        pending,
+        1 if inline else workers_n,
+        lease_seconds=lease_seconds,
+        max_lease_attempts=max_lease_attempts,
+    )
+    # Checkpoint knobs are execution detail, never identity: they hash
+    # into no fingerprint and no cell ID.
+    checkpointing = checkpoint_dir is not None and bool(checkpoint_every)
+    kwargs = dict(
+        spec.cell_kwargs(),
+        checkpoint_every=checkpoint_every if checkpointing else None,
+        checkpoint_dir=str(checkpoint_dir) if checkpointing else None,
+        checkpoint_keep_last=checkpoint_keep_last,
+    )
+    events = JsonlWriter(result.events_path) if scheduled else None
+    events_flushed = 0
+    fleet: dict[str, _Worker] = {}
+    draining = False
+    fh = JsonlWriter(out_path, compression=codec, append=True)
+
+    def _drain_events() -> None:
+        nonlocal events_flushed
+        if events is not None:
+            for record in scheduler.events[events_flushed:]:
+                events.write_record(record)
+            events_flushed = len(scheduler.events)
+            events.flush()
+
+    def _check_drain() -> bool:
+        # Latch at most once, so a worker is never handed a new lease
+        # after the drain request.
+        nonlocal draining
+        if not draining and stop_requested is not None and stop_requested():
+            draining = True
+            progress.draining()
+        return draining
+
+    def _accept(record: dict, *, error: bool, attempts: int) -> None:
+        records.append(record)
+        if error:
+            result.errors.append(record)
+        else:
+            result.executed.append(record["cell_id"])
+        fh.write_line(_dump(record))
+        fh.flush()
+        progress.steals = scheduler.steals
+        progress.reclaimed = scheduler.reclaims
+        progress.cell_finished(error=error, attempts=attempts)
+        if on_progress is not None:
+            on_progress(scheduler, result)
+        _check_drain()
+
+    def _report(worker: str, cell_id: str, status, payload, attempts) -> None:
+        now = time.monotonic()
+        if status == "ok":
+            record = scheduler.complete(worker, cell_id, payload, attempts, now)
+        else:
+            record = scheduler.fail(worker, cell_id, payload, attempts, now)
+        if record is not None:
+            _accept(record, error=status != "ok", attempts=attempts)
+
+    def _flush_synthetic_errors() -> None:
+        """Error rows minted *inside* the state machine (LeaseExhausted
+        on reclaim) have no worker report to accept; sweep any error
+        the artifact hasn't recorded yet into it."""
+        recorded = {r["cell_id"] for r in result.errors}
+        for cell_id, record in scheduler.errors.items():
+            if cell_id not in recorded:
+                _accept(record, error=True, attempts=record["attempts"])
+
+    def _assign(worker: _Worker) -> None:
+        cell = scheduler.acquire(worker.name, worker.index, time.monotonic())
+        if cell is None:
+            return
+        try:
+            worker.conn.send(
+                ("run", cell.cell_id, (cell.protocol, cell.lam, cell.seed))
+            )
+        except (BrokenPipeError, OSError):
+            _bury(worker, reason="send-failed")  # the cell is reclaimed
+
+    def _bury(worker: _Worker, reason: str) -> None:
+        result.worker_deaths += 1
+        scheduler.worker_lost(worker.name, time.monotonic(), reason=reason)
+        _flush_synthetic_errors()
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover
+            pass
+        worker.process.join(timeout=1)
+        fleet.pop(worker.name, None)
+        if not scheduler.finished and not draining:
+            # Same slot, fresh process: the replacement inherits the
+            # home queue, so locality survives the respawn.
+            name = f"{worker.name.split('+')[0]}+{result.worker_deaths}"
+            fleet[name] = _Worker.spawn(
+                ctx, name, worker.index, cell_fn, kwargs, retries
+            )
+            _assign(fleet[name])
+
+    try:
+        if inline:
+            while not scheduler.finished and not draining:
+                cell = scheduler.acquire("w0", 0, time.monotonic())
+                _report(
+                    "w0",
+                    cell.cell_id,
+                    *_guarded_cell(
+                        cell_fn, (cell.protocol, cell.lam, cell.seed),
+                        retries, kwargs,
+                    ),
+                )
+        elif pending:
+            import multiprocessing as mp
+            from multiprocessing import connection as mp_conn
+
+            ctx = mp.get_context(mp_context)
+            for i in range(workers_n):
+                fleet[f"w{i}"] = _Worker.spawn(
+                    ctx, f"w{i}", i, cell_fn, kwargs, retries
+                )
+            for worker in list(fleet.values()):
+                _assign(worker)
+            while not scheduler.finished:
+                _drain_events()
+                if _check_drain() and not scheduler.leases:
+                    break
+                conns = {w.conn: w for w in fleet.values()}
+                ready = mp_conn.wait(list(conns), timeout=poll_seconds)
+                for conn in ready:
+                    worker = conns[conn]
+                    try:
+                        cell_id, status, payload, attempts = conn.recv()
+                    except (EOFError, OSError):
+                        _bury(worker, reason="worker-died")
+                        continue
+                    _report(worker.name, cell_id, status, payload, attempts)
+                    if not draining:
+                        _assign(worker)
+                scheduler.reclaim_expired(time.monotonic())
+                _flush_synthetic_errors()
+                # Reclaimed / requeued cells may have idled workers waiting.
+                if not draining:
+                    for worker in list(fleet.values()):
+                        if scheduler.lease_of(worker.name) is None:
+                            _assign(worker)
+        _drain_events()
+        # A drained run skips the trailer on purpose: the artifact is
+        # left non-canonical, so the next resume rewrites it and
+        # computes exactly the missing cells.
+        if spec.telemetry and scheduler.finished:
+            snaps = [
+                r["telemetry"] for r in records
+                if r["kind"] == CELL_KIND and "telemetry" in r
+            ]
+            merged = fold_results(snaps, merge_snapshots) if snaps else {}
+            fh.write_line(
+                _dump({"kind": SHARD_TELEMETRY_KIND, "snapshot": merged})
+            )
+    finally:
+        fh.close()
+        for worker in list(fleet.values()):
+            worker.stop()
+        if events is not None:
+            _drain_events()
+            events.close()
+
+    result.steals = scheduler.steals
+    result.reclaims = scheduler.reclaims
+    result.duplicates = scheduler.duplicates
+    progress.steals = scheduler.steals
+    progress.reclaimed = scheduler.reclaims
+    if draining and not scheduler.finished:
+        progress.stopped()
+    else:
+        progress.finish()
+    return result
 
 
 def run_scheduled(
@@ -668,293 +884,45 @@ def run_scheduled(
     checkpoint_dir=None,
     checkpoint_keep_last: int = 3,
     stop_requested: Callable[[], bool] | None = None,
-) -> ScheduledRunResult:
+) -> ShardRunResult:
     """Run a whole sweep grid under the work-stealing scheduler.
 
-    The artifact is the same JSONL schema `run_shard` writes, under the
-    reserved whole-grid ``shard 0/0`` marker, so ``merge_artifacts`` /
-    ``repro merge`` / ``repro fig3 --from-artifacts`` consume it
-    unchanged; ``compression`` selects the codec
-    (``auto``/``none``/``gz``/``zst``; ``None`` keeps an existing
-    artifact's).  Rows stream out as results are accepted — a crash
-    loses at most in-flight cells and a resume reuses the rest.
+    Same sweep driver, artifact schema, resume, drain, ``cell_fn``,
+    ``compression`` and checkpointing as
+    :func:`~repro.parallel.sharding.run_shard`, under the reserved
+    whole-grid ``shard 0/0`` marker plus a ``scheduler`` provenance
+    block, so ``merge_artifacts`` / ``repro merge`` / ``repro fig3
+    --from-artifacts`` consume it unchanged.  ``on_progress(scheduler,
+    result)`` is called after every accepted record — the serve loop
+    uses it to publish partial sweeps.
 
-    ``on_progress`` (optional) is called as ``on_progress(scheduler,
-    result)`` after every accepted record — the serve loop uses it to
-    publish partial sweeps.
-
-    Worker deaths (pipe EOF) reclaim the dead worker's lease and
-    respawn a replacement; lease expiry (``lease_seconds``) is the
-    backstop for wedged-but-alive workers.  Deterministic cell
-    failures become ``cell-error`` rows immediately; transient ones
-    re-lease up to ``max_lease_attempts`` grants.
-
-    ``checkpoint_every`` + ``checkpoint_dir`` forward per-cell
-    checkpointing to :func:`~repro.analysis.sweep.run_cell` (appended
-    to the task args only when enabled, so custom ``cell_fn``
-    signatures are untouched): a reclaimed or re-leased cell then
-    resumes from the victim attempt's newest valid snapshot instead of
-    recomputing from round 0 — bit-identical either way.  Checkpoint
-    knobs are execution detail, never identity: they hash into no
-    fingerprint and no cell ID.
-
-    ``stop_requested`` (e.g. a
-    :class:`~repro.parallel.signals.DrainFlag`) makes the coordinator
-    drain gracefully: once it returns true, no new leases are granted,
-    in-flight cells finish and their rows are accepted, the status
-    sidecar passes through ``draining`` to ``stopped``, and a later
-    ``resume=True`` call computes exactly the remaining cells.
+    Cells always run on a worker fleet, even with one worker.  Worker
+    deaths (pipe EOF) reclaim the dead worker's lease and respawn a
+    replacement; lease expiry (``lease_seconds``) is the backstop for
+    wedged-but-alive workers.  Deterministic cell failures become
+    ``cell-error`` rows immediately; transient ones re-lease up to
+    ``max_lease_attempts`` grants (with checkpointing on, from the lost
+    attempt's newest valid snapshot — bit-identical either way).
     """
-    import multiprocessing as mp
-    from multiprocessing import connection as mp_conn
-
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    out_path = Path(out_path)
-    codec = artifact_compression(out_path, compression)
-    cells = spec.cells()
-    retained, stale = (
-        _mine_resume(spec, out_path, cells) if resume else ({}, False)
-    )
-    pending = [c for c in cells if c.cell_id not in retained]
-    workers_n = default_workers(num_workers, n_tasks=len(pending) or None)
-
-    result = ScheduledRunResult(
-        spec=spec,
-        path=out_path,
-        cells=cells,
-        skipped=sorted(retained),
-        events_path=scheduler_events_path(out_path),
-    )
-
-    progress = ShardStatusWriter(
+    return _run_grid(
+        spec,
+        spec.cells(),
         out_path,
-        spec_fingerprint=spec.fingerprint,
-        shard=0,
-        num_shards=0,
-        cells_total=len(cells),
-    )
-
-    if not pending and not stale:
-        # Complete, canonical artifact: same resume contract as
-        # run_shard — recompute nothing, leave the bytes untouched,
-        # refresh only the status sidecar.
-        progress.start(resumed=len(retained))
-        progress.finish()
-        return result
-
-    # Atomic canonical rewrite (manifest + retained rows), then stream
-    # appends — the same crash-safety recipe as run_shard.
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = shard_manifest(
-        spec.to_payload(),
-        spec.fingerprint,
-        0,
-        0,
-        extra={
-            "scheduler": {
-                "workers": workers_n,
-                "lease_seconds": float(lease_seconds),
-                "max_lease_attempts": int(max_lease_attempts),
-                "compression": codec,
-            }
-        },
-    )
-    records: list[dict] = [
-        retained[c.cell_id] for c in cells if c.cell_id in retained
-    ]
-    tmp_path = out_path.with_name(out_path.name + ".tmp")
-    with JsonlWriter(tmp_path, compression=codec) as fh:
-        fh.write_line(_dump(manifest))
-        for record in records:
-            fh.write_line(_dump(record))
-        fh.flush(fsync=True)
-    os.replace(tmp_path, out_path)
-    progress.start(resumed=len(retained))
-
-    scheduler = SweepScheduler(
-        pending,
-        workers_n,
+        marker=(0, 0),
+        workers=num_workers,
+        serial=False,
+        scheduled=True,
+        resume=resume,
+        retries=retries,
+        cell_fn=cell_fn,
+        compression=compression,
         lease_seconds=lease_seconds,
         max_lease_attempts=max_lease_attempts,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_keep_last=checkpoint_keep_last,
+        stop_requested=stop_requested,
+        poll_seconds=poll_seconds,
+        on_progress=on_progress,
+        mp_context=mp_context,
     )
-    events = JsonlWriter(result.events_path, compression="none")
-    events_flushed = 0
-
-    def _drain_events() -> None:
-        nonlocal events_flushed
-        while events_flushed < len(scheduler.events):
-            events.write_record(scheduler.events[events_flushed])
-            events_flushed += 1
-        events.flush()
-
-    fn = cell_fn if cell_fn is not None else _default_cell_fn
-    ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
-    fleet: dict[str, _Worker] = {}
-    deaths = 0
-    draining = False
-
-    # Appended only when enabled, so custom cell_fns with the fixed
-    # 12-argument signature keep working unchanged.
-    ckpt_extra = (
-        (checkpoint_every, str(checkpoint_dir), checkpoint_keep_last)
-        if checkpoint_dir is not None and checkpoint_every
-        else ()
-    )
-
-    def _args_for(cell: SweepCell) -> tuple:
-        return (
-            cell.protocol,
-            cell.lam,
-            cell.seed,
-            spec.initial_energy,
-            spec.rounds,
-            spec.stop_on_death,
-            spec.telemetry,
-            cell.backend,
-            spec.faults,
-            cell.equivalence,
-            spec.max_block_mb,
-            spec.routing,
-        ) + ckpt_extra
-
-    fh = JsonlWriter(out_path, compression=codec, append=True)
-
-    def _accept(record: dict, *, error: bool, attempts: int) -> None:
-        records.append(record)
-        if error:
-            result.errors.append(record)
-        else:
-            result.executed.append(record["cell_id"])
-        fh.write_line(_dump(record))
-        fh.flush()
-        progress.steals = scheduler.steals
-        progress.reclaimed = scheduler.reclaims
-        progress.cell_finished(error=error, attempts=attempts)
-        if on_progress is not None:
-            on_progress(scheduler, result)
-
-    def _flush_synthetic_errors() -> None:
-        """Error rows minted *inside* the state machine (LeaseExhausted
-        on reclaim) have no worker report to accept; sweep any error
-        the artifact hasn't recorded yet into it."""
-        recorded = {r["cell_id"] for r in result.errors}
-        for cell_id, record in scheduler.errors.items():
-            if cell_id not in recorded:
-                _accept(record, error=True, attempts=record["attempts"])
-
-    def _assign(worker: _Worker) -> bool:
-        cell = scheduler.acquire(worker.name, worker.index, time.monotonic())
-        if cell is None:
-            return False
-        try:
-            worker.conn.send(("run", cell.cell_id, _args_for(cell)))
-        except (BrokenPipeError, OSError):
-            _bury(worker, reason="send-failed")
-            return True  # the cell was reclaimed; caller re-loops
-        return True
-
-    def _bury(worker: _Worker, reason: str) -> None:
-        nonlocal deaths
-        deaths += 1
-        scheduler.worker_lost(worker.name, time.monotonic(), reason=reason)
-        _flush_synthetic_errors()
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        worker.process.join(timeout=1)
-        fleet.pop(worker.name, None)
-        if not scheduler.finished and not draining:
-            # Same slot, fresh process: the replacement inherits the
-            # home queue, so locality survives the respawn.
-            name = f"{worker.name.split('+')[0]}+{deaths}"
-            fleet[name] = _Worker.spawn(ctx, name, worker.index, fn, retries)
-            _assign(fleet[name])
-
-    def _check_drain() -> bool:
-        # Latch at most once; polled at every safe boundary (loop top
-        # and each accepted record) so a worker is never handed a new
-        # lease after the drain request.
-        nonlocal draining
-        if not draining and stop_requested is not None and stop_requested():
-            # Graceful drain: grant no new leases; in-flight cells
-            # finish and their rows are accepted; queued cells stay
-            # queued for a later resume.
-            draining = True
-            progress.draining()
-        return draining
-
-    try:
-        if pending:
-            for i in range(workers_n):
-                fleet[f"w{i}"] = _Worker.spawn(ctx, f"w{i}", i, fn, retries)
-            for worker in list(fleet.values()):
-                _assign(worker)
-
-        while not scheduler.finished:
-            _drain_events()
-            if _check_drain() and not scheduler.leases:
-                break
-            conns = {w.conn: w for w in fleet.values()}
-            ready = mp_conn.wait(list(conns), timeout=poll_seconds)
-            now = time.monotonic()
-            for conn in ready:
-                worker = conns[conn]
-                try:
-                    cell_id, status, payload, attempts = conn.recv()
-                except (EOFError, OSError):
-                    _bury(worker, reason="worker-died")
-                    continue
-                if status == "ok":
-                    record = scheduler.complete(
-                        worker.name, cell_id, payload, attempts, now
-                    )
-                    if record is not None:
-                        _accept(record, error=False, attempts=attempts)
-                else:
-                    record = scheduler.fail(
-                        worker.name, cell_id, payload, attempts, now
-                    )
-                    if record is not None:
-                        _accept(record, error=True, attempts=attempts)
-                if not _check_drain():
-                    _assign(worker)
-            scheduler.reclaim_expired(now)
-            _flush_synthetic_errors()
-            # Reclaimed / requeued cells may have idled workers waiting.
-            if not draining:
-                for worker in list(fleet.values()):
-                    if scheduler.lease_of(worker.name) is None:
-                        _assign(worker)
-        _drain_events()
-        # A drained run skips the trailer on purpose: the artifact is
-        # left non-canonical, so the next resume rewrites it and
-        # computes exactly the missing cells.
-        if spec.telemetry and scheduler.finished:
-            snaps = [
-                r["telemetry"] for r in records
-                if r["kind"] == CELL_KIND and "telemetry" in r
-            ]
-            merged = fold_results(snaps, merge_snapshots) if snaps else {}
-            fh.write_line(
-                _dump({"kind": SHARD_TELEMETRY_KIND, "snapshot": merged})
-            )
-    finally:
-        fh.close()
-        for worker in list(fleet.values()):
-            worker.stop()
-        _drain_events()
-        events.close()
-
-    result.steals = scheduler.steals
-    result.reclaims = scheduler.reclaims
-    result.duplicates = scheduler.duplicates
-    result.worker_deaths = deaths
-    progress.steals = scheduler.steals
-    progress.reclaimed = scheduler.reclaims
-    if draining and not scheduler.finished:
-        progress.stopped()
-    else:
-        progress.finish()
-    return result

@@ -255,22 +255,20 @@ def serve_once(
     running job's in-flight cells finish and stream into its artifact,
     no further jobs start, and the snapshot republishes with state
     ``stopped`` — the next pass computes exactly the remaining cells.
+    A file at a job's artifact path that is not an artifact stops the
+    pass with the sweep's ``ValueError``; the file is left untouched.
     """
     jobs_dir = Path(jobs_dir)
     report = ServeReport(jobs=discover_jobs(jobs_dir))
-    drained = False
+    stop = stop_requested or (lambda: False)
     for job in report.jobs:
-        if stop_requested is not None and stop_requested():
-            drained = True
+        if stop():
             break
 
         def _progress(scheduler, result, _job=job):
-            state = (
-                "draining"
-                if stop_requested is not None and stop_requested()
-                else "running"
+            _publish(
+                jobs_dir, report.jobs, state="draining" if stop() else "running"
             )
-            _publish(jobs_dir, report.jobs, state=state)
             if on_progress is not None:
                 on_progress(_job, scheduler, result)
 
@@ -295,10 +293,7 @@ def serve_once(
         report.worker_deaths += result.worker_deaths
         report.reclaims += result.reclaims
         report.steals += result.steals
-        if stop_requested is not None and stop_requested():
-            drained = True
-            break
-    _publish(jobs_dir, report.jobs, state="stopped" if drained else "idle")
+    _publish(jobs_dir, report.jobs, state="stopped" if stop() else "idle")
     return report
 
 

@@ -11,15 +11,16 @@ run on every deterministic metric.
 Identity scheme
 ---------------
 Every grid cell gets a **stable cell ID**: a 16-hex digest of
-``(protocol, lambda, seed, config_fingerprint, stop_on_death,
-backend)``, where the config fingerprint covers the complete
-:class:`~repro.config.SimulationConfig` the cell will run,
+``(protocol, lambda, seed, config_fingerprint, stop_on_death, backend,
+equivalence)``.  The config fingerprint covers the complete
+:class:`~repro.config.SimulationConfig` the cell will run (one
+derivation, :func:`cell_config`, serves identity and execution);
 ``stop_on_death`` is the one run knob that shapes the result without
-living in the config, and ``backend`` is the *resolved* kernel-backend
-name (never ``"auto"``) so artifacts carry their numeric provenance.
-IDs therefore survive re-enumeration, grid extension, and host
-boundaries — and change exactly when the scenario a cell would
-simulate (or the backend it would run on) changes.
+living in the config; ``backend`` is the *resolved* kernel-backend
+name (never ``"auto"``) and ``equivalence`` the numeric tier, so
+artifacts carry their numeric provenance.  IDs therefore survive
+re-enumeration, grid extension, and host boundaries — and change
+exactly when the scenario a cell would simulate changes.
 
 Shard assignment ranks cells by their ID and deals them round-robin:
 ``shard(cell) = rank(cell_id) mod K``.  That keeps shards balanced
@@ -31,13 +32,13 @@ Artifact format
 ---------------
 A shard writes one JSONL artifact: a ``shard-manifest`` header
 (shard ``k/K``, the full sweep spec, and the spec fingerprint), then
-one record per cell — ``cell`` rows carrying the summary (and the
-cell's telemetry snapshot when instrumented) or ``cell-error`` rows
-when a worker kept failing after retries — and a ``shard-telemetry``
-trailer with the shard-level merged snapshot.  Rows are appended as
-results stream back, so a crash loses at most the in-flight cells:
-rerunning with ``resume=True`` skips every cell whose row is already
-present with a matching config fingerprint and recomputes the rest.
+one ``cell`` row (summary, plus the telemetry snapshot when
+instrumented) or ``cell-error`` row per cell, and a
+``shard-telemetry`` trailer with the merged snapshot.  :func:`run_shard`
+shares its sweep driver with the scheduler
+(:func:`repro.parallel.scheduler.run_scheduled`): rows are appended as
+they are accepted, so a crash loses at most the in-flight cells, and a
+resume reuses every row whose cell ID is still in the grid.
 
 Merging (:func:`merge_artifacts`) accepts any subset of artifacts in
 any order, dedupes by cell ID (value-conflicts raise — that would mean
@@ -49,11 +50,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from ..config import EQUIVALENCE_CHOICES, ROUTING_CHOICES, RoutingConfig, paper_config
+from ..kernels import resolve_backend_name
 from ..telemetry.jsonl import (
     JsonlWriter,
     detect_compression,
@@ -62,12 +67,12 @@ from ..telemetry.jsonl import (
 )
 from ..telemetry.manifest import (
     SHARD_MANIFEST_KIND,
+    config_fingerprint,
     shard_manifest,
     stable_fingerprint,
 )
 from ..telemetry.registry import deterministic_view, merge_snapshots
-from .pool import fold_results, iter_tasks
-from .status import ShardStatusWriter
+from .pool import fold_results
 
 __all__ = [
     "CELL_KIND",
@@ -78,6 +83,7 @@ __all__ = [
     "ShardRunResult",
     "SweepCell",
     "SweepSpec",
+    "cell_config",
     "classify_error",
     "load_artifact",
     "merge_artifacts",
@@ -156,10 +162,16 @@ class SweepSpec:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not (self.protocols and self.lambdas and self.seeds):
             raise ValueError("sweep spec needs >= 1 protocol, lambda, and seed")
+        # Deferred: repro.analysis imports this package at module scope.
+        from ..analysis.sweep import PROTOCOLS
+
+        unknown = sorted(set(self.protocols) - set(PROTOCOLS))
+        if unknown:
+            raise ValueError(
+                f"unknown protocol(s) {unknown}; known: {sorted(PROTOCOLS)}"
+            )
         if not isinstance(self.backend, str) or not self.backend:
             raise ValueError("backend must be a non-empty selector string")
-        from ..config import EQUIVALENCE_CHOICES
-
         if self.equivalence not in EQUIVALENCE_CHOICES:
             raise ValueError(
                 f"equivalence must be one of {EQUIVALENCE_CHOICES}, "
@@ -167,8 +179,6 @@ class SweepSpec:
             )
         if self.max_block_mb is not None and self.max_block_mb <= 0.0:
             raise ValueError("max_block_mb must be positive when given")
-        from ..config import ROUTING_CHOICES
-
         if self.routing not in ROUTING_CHOICES:
             raise ValueError(
                 f"routing must be one of {ROUTING_CHOICES}, "
@@ -194,87 +204,89 @@ class SweepSpec:
         return stable_fingerprint(self.to_payload())
 
     # -- enumeration ---------------------------------------------------
-    def cell_args(self) -> list[tuple]:
-        """Canonical (protocol × lambda × seed) enumeration as the
-        positional argument tuples of :func:`repro.analysis.sweep.run_cell`."""
-        return [
-            (
-                p,
-                lam,
-                seed,
-                self.initial_energy,
-                self.rounds,
-                self.stop_on_death,
-                self.telemetry,
-                self.backend,
-                self.faults,
-                self.equivalence,
-                self.max_block_mb,
-                self.routing,
-            )
-            for p in self.protocols
-            for lam in self.lambdas
-            for seed in self.seeds
-        ]
-
-    def resolved_backend(self) -> str:
-        """The concrete backend name this host would run the cells on
-        (``"auto"`` resolved by availability; never ``"auto"`` itself)."""
-        from ..kernels import resolve_backend_name
-
-        return resolve_backend_name(self.backend)
+    def cell_kwargs(self) -> dict:
+        """The keyword arguments of every cell: workers call
+        ``cell_fn(protocol, lam, seed, **spec.cell_kwargs())``.  The
+        backend is the *resolved* name, so the worker runs exactly the
+        config whose fingerprint the cell ID pinned."""
+        return {
+            "initial_energy": self.initial_energy,
+            "rounds": self.rounds,
+            "backend": resolve_backend_name(self.backend),
+            "faults": self.faults,
+            "equivalence": self.equivalence,
+            "max_block_mb": self.max_block_mb,
+            "routing": self.routing,
+            "stop_on_death": self.stop_on_death,
+            "telemetry": self.telemetry,
+        }
 
     def cells(self) -> list["SweepCell"]:
         """Enumerate the grid with stable identities, in canonical order.
 
-        Cell identity pins the *resolved* backend name — mirroring what
-        :func:`repro.analysis.sweep.run_cell` writes into the cell's
-        config — so rows computed under one backend are never reused or
-        merged as another's (the ``stop_on_death`` lesson, applied to
-        the one knob that varies by *host capability* rather than by
-        spec value).
+        Each cell's config comes from :func:`cell_config` with the
+        worker's own kwargs, so the fingerprint the ID pins is the
+        config the cell runs — including the *resolved* backend, so
+        rows computed under one backend are never reused or merged as
+        another's.
         """
-        import dataclasses as _dc
-
-        from ..config import RoutingConfig, paper_config
-        from ..telemetry.manifest import config_fingerprint
-
-        backend = self.resolved_backend()
+        kwargs = self.cell_kwargs()
+        stop_on_death = kwargs.pop("stop_on_death")
+        del kwargs["telemetry"]  # execution detail: rows, not results
         out = []
         for p in self.protocols:
             for lam in self.lambdas:
                 for seed in self.seeds:
-                    cfg = _dc.replace(
-                        paper_config(
-                            mean_interarrival=lam,
-                            seed=seed,
-                            rounds=self.rounds,
-                            initial_energy=self.initial_energy,
-                        ),
-                        backend=backend,
-                        equivalence=self.equivalence,
-                        max_block_mb=self.max_block_mb,
-                        routing=RoutingConfig(kind=self.routing),
-                    )
-                    if self.faults:
-                        # Mirror run_cell exactly: the materialised plan
-                        # is part of the config a worker will fingerprint.
-                        from ..faults import build_fault_plan
-
-                        cfg = cfg.replace(
-                            faults=build_fault_plan(self.faults, cfg)
-                        )
-                    fp = config_fingerprint(cfg)
+                    fp = config_fingerprint(cell_config(lam, seed, **kwargs))
                     out.append(
                         SweepCell.build(
-                            p, lam, seed, fp, self.stop_on_death, backend,
-                            self.equivalence,
+                            p, lam, seed, fp, stop_on_death,
+                            kwargs["backend"], self.equivalence,
                         )
                     )
         return out
 
     def __len__(self) -> int:
         return len(self.protocols) * len(self.lambdas) * len(self.seeds)
+
+
+def cell_config(
+    mean_interarrival: float,
+    seed: int,
+    *,
+    initial_energy: float = 0.25,
+    rounds: int = 20,
+    backend: str = "auto",
+    faults: str | None = None,
+    equivalence: str = "bitwise",
+    max_block_mb: float | None = None,
+    routing: str = "direct",
+):
+    """The :class:`~repro.config.SimulationConfig` of one sweep cell.
+
+    The one derivation behind both cell identity (:meth:`SweepSpec.cells`
+    fingerprints it) and execution (:func:`repro.analysis.sweep.run_cell`
+    runs it): Table 2 at ``(mean_interarrival, seed)``, the backend
+    resolved, and a ``faults`` scenario materialised against the config
+    so the chaos scales with it.
+    """
+    config = dataclasses.replace(
+        paper_config(
+            mean_interarrival=mean_interarrival,
+            seed=seed,
+            rounds=rounds,
+            initial_energy=initial_energy,
+        ),
+        backend=resolve_backend_name(backend),
+        equivalence=equivalence,
+        max_block_mb=max_block_mb,
+        routing=RoutingConfig(kind=routing),
+    )
+    if faults:
+        from ..faults import build_fault_plan
+
+        config = config.replace(faults=build_fault_plan(faults, config))
+    return config
 
 
 @dataclass(frozen=True)
@@ -366,85 +378,37 @@ def parse_shard_arg(text: str) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Shard execution (checkpoint, resume, retry)
+# Shard execution (retry policy, artifact records)
 # ---------------------------------------------------------------------------
 
 
-def _default_cell_fn(
-    protocol: str,
-    lam: float,
-    seed: int,
-    initial_energy: float,
-    rounds: int,
-    stop_on_death: bool,
-    telemetry: bool,
-    backend: str = "auto",
-    faults: str | None = None,
-    equivalence: str = "bitwise",
-    max_block_mb: float | None = None,
-    routing: str = "direct",
-    checkpoint_every: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_keep_last: int = 3,
-):
-    # Deferred import keeps repro.parallel free of an import cycle with
-    # repro.analysis (which imports this package at module scope).
-    from ..analysis.sweep import run_cell
-
-    return run_cell(
-        protocol,
-        lam,
-        seed,
-        initial_energy=initial_energy,
-        rounds=rounds,
-        stop_on_death=stop_on_death,
-        telemetry=telemetry,
-        backend=backend,
-        faults=faults,
-        equivalence=equivalence,
-        max_block_mb=max_block_mb,
-        routing=routing,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_keep_last=checkpoint_keep_last,
-    )
-
-
-def _deterministic_errors() -> tuple:
-    """Exception classes whose failures are a pure function of the
-    cell's inputs — a bad value, a missing attribute, a broken
-    invariant, an unpicklable payload.  Re-running the identical
-    deterministic computation cannot change the outcome, so retrying
-    (or re-leasing) them only burns worker time.  Everything else
-    (OSError, MemoryError, RuntimeError, worker deaths, ...) is treated
-    as transient: environmental causes — a flaky filesystem, memory
-    pressure, a worker wedged mid-import, a SIGKILL — can heal between
-    attempts.  The full taxonomy is pinned by
-    ``tests/parallel/test_classify_errors.py``, which is the spec the
-    scheduler's re-lease decisions run on.
-    """
-    import pickle
-
-    return (
-        ValueError,
-        TypeError,
-        LookupError,
-        AttributeError,
-        AssertionError,
-        ArithmeticError,
-        NotImplementedError,
-        # Serialising the same result object fails the same way every
-        # time: a pickling casualty re-leased to another worker would
-        # just fail there too.
-        pickle.PicklingError,
-        pickle.UnpicklingError,
-        # RecursionError subclasses RuntimeError, but unbounded
-        # recursion is a property of the computation, not the host.
-        RecursionError,
-    )
-
-
-_DETERMINISTIC_ERRORS = _deterministic_errors()
+#: Exception classes whose failures are a pure function of the cell's
+#: inputs — a bad value, a missing attribute, a broken invariant, an
+#: unpicklable payload.  Re-running the identical deterministic
+#: computation cannot change the outcome, so retrying (or re-leasing)
+#: them only burns worker time.  Everything else (OSError, MemoryError,
+#: RuntimeError, worker deaths, ...) is treated as transient:
+#: environmental causes — a flaky filesystem, memory pressure, a worker
+#: wedged mid-import, a SIGKILL — can heal between attempts.  The full
+#: taxonomy is pinned by ``tests/parallel/test_classify_errors.py``,
+#: which is the spec the scheduler's re-lease decisions run on.
+_DETERMINISTIC_ERRORS = (
+    ValueError,
+    TypeError,
+    LookupError,
+    AttributeError,
+    AssertionError,
+    ArithmeticError,
+    NotImplementedError,
+    # Serialising the same result object fails the same way every
+    # time: a pickling casualty re-leased to another worker would
+    # just fail there too.
+    pickle.PicklingError,
+    pickle.UnpicklingError,
+    # RecursionError subclasses RuntimeError, but unbounded
+    # recursion is a property of the computation, not the host.
+    RecursionError,
+)
 
 
 def classify_error(exc: BaseException) -> str:
@@ -470,22 +434,31 @@ def classify_error(exc: BaseException) -> str:
     )
 
 
-def _guarded_cell(cell_fn: Callable, args: tuple, retries: int) -> tuple:
-    """Run one cell in a worker without ever raising.
+def _guarded_cell(
+    cell_fn: Callable | None, args: tuple, retries: int, kwargs: dict | None = None
+) -> tuple:
+    """Run ``cell_fn(*args, **kwargs)`` without ever raising.
 
-    A raised exception would abort the whole ``pool.map``; instead the
-    cell is retried up to ``retries`` extra times in place — but only
-    for *transient* failures (see :func:`classify_error`): a
-    deterministic failure is recorded after the first attempt, since
-    replaying an identical computation cannot change its outcome.
-    Either way an error payload comes home so the shard completes and
-    records the casualty.
+    A raised exception would take the executor down with it; instead
+    the cell is retried up to ``retries`` extra times in place — only
+    for *transient* failures (:func:`classify_error`): replaying a
+    deterministic one cannot change its outcome.  Either way an error
+    payload comes home, so the run completes and records the casualty.
+
+    ``cell_fn=None`` runs :func:`repro.analysis.sweep.run_cell`, looked
+    up as a module attribute at call time so a wrapper installed on the
+    module (an instrumenting profiler) sees every cell.
     """
+    if cell_fn is None:
+        # Deferred: repro.analysis imports this package at module scope.
+        from ..analysis import sweep
+
+        cell_fn = sweep.run_cell
     last: Exception | None = None
     attempts = 0
     for attempts in range(1, retries + 2):
         try:
-            return ("ok", cell_fn(*args), attempts)
+            return ("ok", cell_fn(*args, **(kwargs or {})), attempts)
         except Exception as exc:  # noqa: BLE001 - worker boundary
             last = exc
             if classify_error(exc) == "deterministic":
@@ -503,7 +476,9 @@ def _guarded_cell(cell_fn: Callable, args: tuple, retries: int) -> tuple:
 
 @dataclass
 class ShardRunResult:
-    """Outcome of one :func:`run_shard` invocation."""
+    """Outcome of one :func:`run_shard` or
+    :func:`~repro.parallel.scheduler.run_scheduled` invocation (the
+    latter under the whole-grid ``0/0`` marker)."""
 
     spec: SweepSpec
     shard: int
@@ -516,6 +491,14 @@ class ShardRunResult:
     skipped: list[str] = field(default_factory=list)
     #: Error records (post-retry) produced by this invocation.
     errors: list[dict] = field(default_factory=list)
+    #: Scheduler counters: queue steals, reclaimed leases, dropped
+    #: duplicate results, and worker processes lost mid-cell.
+    steals: int = 0
+    reclaims: int = 0
+    duplicates: int = 0
+    worker_deaths: int = 0
+    #: The scheduler-events sidecar (scheduled runs only).
+    events_path: Path | None = None
 
     @property
     def ok(self) -> bool:
@@ -533,11 +516,9 @@ def _jsonable(value):
     return value
 
 
-def _cell_record(cell: SweepCell, summary: dict, attempts: int) -> dict:
-    summary = dict(summary)
-    snapshot = summary.pop("telemetry", None)
-    record = {
-        "kind": CELL_KIND,
+def _record(kind: str, cell: SweepCell, attempts: int, **payload) -> dict:
+    return {
+        "kind": kind,
         "cell_id": cell.cell_id,
         "protocol": cell.protocol,
         "lambda": cell.lam,
@@ -546,30 +527,56 @@ def _cell_record(cell: SweepCell, summary: dict, attempts: int) -> dict:
         "backend": cell.backend,
         "equivalence": cell.equivalence,
         "attempts": attempts,
-        "summary": _jsonable(summary),
+        **payload,
     }
+
+
+def _cell_record(cell: SweepCell, summary: dict, attempts: int) -> dict:
+    summary = dict(summary)
+    snapshot = summary.pop("telemetry", None)
+    record = _record(CELL_KIND, cell, attempts, summary=_jsonable(summary))
     if snapshot is not None:
         record["telemetry"] = _jsonable(snapshot)
     return record
 
 
 def _error_record(cell: SweepCell, error: dict, attempts: int) -> dict:
-    return {
-        "kind": CELL_ERROR_KIND,
-        "cell_id": cell.cell_id,
-        "protocol": cell.protocol,
-        "lambda": cell.lam,
-        "seed": cell.seed,
-        "config_fingerprint": cell.config_fingerprint,
-        "backend": cell.backend,
-        "equivalence": cell.equivalence,
-        "attempts": attempts,
-        "error": dict(error),
-    }
+    return _record(CELL_ERROR_KIND, cell, attempts, error=dict(error))
 
 
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
+
+
+def _write_artifact(
+    path: Path,
+    codec: str,
+    spec: SweepSpec,
+    marker: tuple[int, int],
+    records: list[dict],
+    extra: dict | None = None,
+) -> None:
+    """Atomically (re)write an artifact: its manifest, then ``records``.
+
+    Via a sibling temp file + ``os.replace``, so a crash mid-rewrite
+    never truncates away already-computed rows: the old artifact
+    survives intact until the manifest and every record are durably
+    on disk.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp_path = path.with_name(path.name + ".tmp")
+    with JsonlWriter(tmp_path, compression=codec) as fh:
+        fh.write_line(
+            _dump(
+                shard_manifest(
+                    spec.to_payload(), spec.fingerprint, *marker, extra=extra
+                )
+            )
+        )
+        for record in records:
+            fh.write_line(_dump(record))
+        fh.flush(fsync=True)
+    os.replace(tmp_path, path)
 
 
 def artifact_compression(out_path, compression: str | None) -> str:
@@ -614,216 +621,67 @@ def run_shard(
         Artifact path.  With ``resume=True`` an existing artifact is
         mined for reusable rows: a cell is skipped iff a ``cell`` row
         with its exact cell ID (which embeds the config fingerprint)
-        is present; error rows and stale rows (fingerprint or shard
-        membership mismatch) are dropped and recomputed.  When every
-        cell is already present the file is left byte-untouched.
+        is present; everything else is dropped and recomputed.  A
+        complete artifact is left byte-untouched; a file that is not
+        an artifact raises ``ValueError`` and is left alone.
+    max_workers, serial:
+        Cells run in-process (no fork) when ``serial`` or when the
+        resolved worker count is 1, with rows in canonical order;
+        otherwise on the scheduler's worker fleet, with rows in
+        completion order (:func:`merge_artifacts` reorders them).
     retries:
         Extra in-worker attempts per cell before an error row is
         recorded in place of the summary.
     cell_fn:
-        Override of the cell executor (module-level picklable callable
-        with :func:`repro.analysis.sweep.run_cell`'s positional
-        signature) — the fault-injection seam used by the tests.
+        The cell executor, called as ``cell_fn(protocol, lam, seed,
+        **kwargs)`` with :meth:`SweepSpec.cell_kwargs` plus the
+        checkpoint knobs; ``None`` runs
+        :func:`repro.analysis.sweep.run_cell`.  A module-level
+        (picklable) override is the fault-injection seam of the tests.
     compression:
         Artifact codec selector (``auto``/``none``/``gz``/``zst``);
         ``None`` keeps an existing artifact's codec (sniffed) or picks
         by path suffix for a fresh one.  Compression is transport, not
-        identity — it never enters fingerprints or cell IDs, and
-        :func:`load_artifact` reads any codec transparently.
+        identity — it never enters fingerprints or cell IDs.
     checkpoint_every, checkpoint_dir, checkpoint_keep_last:
         Round-boundary engine checkpointing for every cell (see
         :mod:`repro.checkpoint`): a killed or retried cell resumes from
         its newest valid snapshot instead of recomputing from round 0.
-        Execution detail, never identity — the extra arguments are
-        appended to the worker tuples *only when enabled*, so custom
-        ``cell_fn`` signatures without checkpoint parameters keep
-        working, and artifacts/fingerprints are unchanged either way.
+        Execution detail, never identity.
     stop_requested:
         Zero-argument drain predicate polled at every cell boundary
         (wire a :class:`repro.parallel.signals.DrainFlag` latched by
-        SIGTERM/SIGINT).  When it returns True the runner stops
-        consuming results, records the status sidecar as ``stopped``
-        (not ``complete``), skips the telemetry trailer, and returns —
-        a later ``resume=True`` invocation picks up the missing cells.
+        SIGTERM/SIGINT).  Once it returns True no further cell starts,
+        the status sidecar ends ``stopped`` and the telemetry trailer
+        is skipped, so a later resume picks up the missing cells.
     """
     if not 1 <= shard <= num_shards:
         raise ValueError(f"shard {shard}/{num_shards} out of range")
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    out_path = Path(out_path)
-    codec = artifact_compression(out_path, compression)
-    cells = partition_cells(spec.cells(), num_shards)[shard - 1]
-    by_id = {c.cell_id: c for c in cells}
+    # Deferred: the sweep driver lives with the scheduler, which
+    # imports this module.
+    from .scheduler import _run_grid
 
-    retained: dict[str, dict] = {}
-    stale = False  # anything in the file a canonical rewrite would drop
-    if resume and out_path.exists():
-        artifact = load_artifact(out_path)
-        trailers = 0
-        for record in artifact.records:
-            kind = record.get("kind")
-            if (
-                kind == CELL_KIND
-                and record.get("cell_id") in by_id
-                # An instrumented resume can't reuse a row recorded
-                # without its telemetry snapshot.
-                and (not spec.telemetry or "telemetry" in record)
-            ):
-                if record["cell_id"] in retained:
-                    stale = True  # duplicate row
-                else:
-                    retained[record["cell_id"]] = record
-            elif kind == SHARD_TELEMETRY_KIND:
-                trailers += 1
-            else:
-                stale = True  # error rows, foreign/stale-fingerprint cells
-        if artifact.manifest.get("spec_fingerprint") != spec.fingerprint or (
-            artifact.manifest.get("shard"),
-            artifact.manifest.get("num_shards"),
-        ) != (shard, num_shards):
-            stale = True
-        # Canonical artifact ends with exactly one telemetry trailer
-        # iff the spec is instrumented.
-        if spec.telemetry:
-            if trailers != 1 or (
-                not artifact.records
-                or artifact.records[-1].get("kind") != SHARD_TELEMETRY_KIND
-            ):
-                stale = True
-        elif trailers:
-            stale = True
-
-    pending = [c for c in cells if c.cell_id not in retained]
-    result = ShardRunResult(
-        spec=spec,
-        shard=shard,
-        num_shards=num_shards,
-        path=out_path,
-        cells=cells,
-        skipped=sorted(retained),
-    )
-    # Live progress goes to a *sidecar* (never the artifact itself —
-    # see repro.parallel.status); named `progress` because the cell
-    # result loop below binds `status`.
-    progress = ShardStatusWriter(
+    return _run_grid(
+        spec,
+        partition_cells(spec.cells(), num_shards)[shard - 1],
         out_path,
-        spec_fingerprint=spec.fingerprint,
-        shard=shard,
-        num_shards=num_shards,
-        cells_total=len(cells),
+        marker=(shard, num_shards),
+        workers=max_workers,
+        serial=serial,
+        scheduled=False,
+        resume=resume,
+        retries=retries,
+        cell_fn=cell_fn,
+        compression=compression,
+        # Static shards hold no leases that could expire, and a
+        # failure that outlives the in-worker retries is final.
+        lease_seconds=math.inf,
+        max_lease_attempts=1,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_keep_last=checkpoint_keep_last,
+        stop_requested=stop_requested,
     )
-
-    if not pending and not stale:
-        # Complete artifact: recompute nothing, leave the artifact
-        # byte-untouched — but still refresh the sidecar so `repro
-        # status` reports this (re)invocation as complete.
-        progress.start(resumed=len(retained))
-        progress.finish()
-        return result
-
-    fn = cell_fn if cell_fn is not None else _default_cell_fn
-    # Checkpoint knobs ride as *extra* positional arguments only when
-    # enabled: custom cell_fn signatures without checkpoint parameters
-    # keep working, and the default path ships byte-identical tuples.
-    ckpt_extra = (
-        (checkpoint_every, str(checkpoint_dir), checkpoint_keep_last)
-        if checkpoint_dir is not None and checkpoint_every
-        else ()
-    )
-    tasks = [
-        (
-            fn,
-            (
-                c.protocol,
-                c.lam,
-                c.seed,
-                spec.initial_energy,
-                spec.rounds,
-                spec.stop_on_death,
-                spec.telemetry,
-                # The cell's *resolved* backend, not the spec selector:
-                # the worker must produce exactly the fingerprint the
-                # cell ID pinned at enumeration time.
-                c.backend,
-                spec.faults,
-                # Likewise the cell's pinned tier and block budget.
-                c.equivalence,
-                spec.max_block_mb,
-                spec.routing,
-            )
-            + ckpt_extra,
-            retries,
-        )
-        for c in pending
-    ]
-
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    records: list[dict] = [retained[c.cell_id] for c in cells if c.cell_id in retained]
-    # Rewrite via a sibling temp file + os.replace so a crash mid-rewrite
-    # never truncates away already-computed (retained) rows: the old
-    # artifact survives intact until the manifest and every retained row
-    # are durably on disk.  Newly computed rows then append to the
-    # replaced file, keeping the stream-checkpoint property (on a
-    # compressed artifact the append session is a fresh member/frame,
-    # which the concatenation-aware tolerant reader handles).
-    tmp_path = out_path.with_name(out_path.name + ".tmp")
-    with JsonlWriter(tmp_path, compression=codec) as fh:
-        fh.write_line(
-            _dump(
-                shard_manifest(
-                    spec.to_payload(), spec.fingerprint, shard, num_shards
-                )
-            )
-        )
-        for record in records:
-            fh.write_line(_dump(record))
-        fh.flush(fsync=True)
-    os.replace(tmp_path, out_path)
-    progress.start(resumed=len(retained))
-    drained = False
-    fh = JsonlWriter(out_path, compression=codec, append=True)
-    try:
-        results = iter_tasks(
-            _guarded_cell, tasks, max_workers=max_workers, serial=serial
-        )
-        for cell, (status, payload, attempts) in zip(pending, results):
-            if status == "ok":
-                record = _cell_record(cell, payload, attempts)
-                result.executed.append(cell.cell_id)
-            else:
-                record = _error_record(cell, payload, attempts)
-                result.errors.append(record)
-            records.append(record)
-            fh.write_line(_dump(record))
-            fh.flush()
-            progress.cell_finished(error=(status != "ok"), attempts=attempts)
-            if stop_requested is not None and stop_requested():
-                # Graceful drain: stop consuming at this cell boundary.
-                # Abandoning the iterator cancels queued tasks; rows
-                # already appended stay durable, and the skipped
-                # telemetry trailer marks the artifact non-canonical so
-                # a later resume recomputes exactly the missing cells
-                # (from their snapshots, when checkpointing).
-                drained = True
-                progress.draining()
-                break
-        if spec.telemetry and not drained:
-            snaps = [
-                r["telemetry"] for r in records
-                if r["kind"] == CELL_KIND and "telemetry" in r
-            ]
-            merged = fold_results(snaps, merge_snapshots) if snaps else {}
-            fh.write_line(
-                _dump({"kind": SHARD_TELEMETRY_KIND, "snapshot": merged})
-            )
-    finally:
-        fh.close()
-    if drained:
-        progress.stopped()
-    else:
-        progress.finish()
-    return result
-
 
 # ---------------------------------------------------------------------------
 # Artifact loading and merging
@@ -850,13 +708,6 @@ class ShardArtifact:
     def error_rows(self) -> list[dict]:
         return [r for r in self.records if r.get("kind") == CELL_ERROR_KIND]
 
-    @property
-    def telemetry_snapshot(self) -> dict | None:
-        """The shard-level merged snapshot (last trailer wins)."""
-        for record in reversed(self.records):
-            if record.get("kind") == SHARD_TELEMETRY_KIND:
-                return record["snapshot"]
-        return None
 
 
 def load_artifact(path) -> ShardArtifact:
@@ -875,6 +726,13 @@ def load_artifact(path) -> ShardArtifact:
     if not parsed or parsed[0].get("kind") != SHARD_MANIFEST_KIND:
         raise ValueError(f"{path}: missing {SHARD_MANIFEST_KIND!r} header")
     return ShardArtifact(manifest=parsed[0], records=parsed[1:], path=path)
+
+
+def _load_all(artifacts) -> list[ShardArtifact]:
+    return [
+        a if isinstance(a, ShardArtifact) else load_artifact(a)
+        for a in artifacts
+    ]
 
 
 @dataclass
@@ -918,10 +776,7 @@ def merge_artifacts(
     """
     from ..analysis.sweep import SweepResult
 
-    loaded = [
-        a if isinstance(a, ShardArtifact) else load_artifact(a)
-        for a in artifacts
-    ]
+    loaded = _load_all(artifacts)
     if not loaded:
         raise ValueError("no artifacts to merge")
     spec = loaded[0].spec
@@ -1012,10 +867,7 @@ def write_merged_artifact(
     artifacts can be pre-merged locally and the halves merged again
     later: merge is subset-associative by construction.
     """
-    loaded = [
-        a if isinstance(a, ShardArtifact) else load_artifact(a)
-        for a in artifacts
-    ]
+    loaded = _load_all(artifacts)
     path = Path(path)
     codec = artifact_compression(path, compression)
     resolved = set()
@@ -1030,23 +882,9 @@ def write_merged_artifact(
                 records.setdefault(record["cell_id"], record)
     order = {c.cell_id: i for i, c in enumerate(merged.spec.cells())}
     body = sorted(records.values(), key=lambda r: order[r["cell_id"]])
-    with JsonlWriter(path, compression=codec) as fh:
-        fh.write_line(
-            _dump(
-                shard_manifest(
-                    merged.spec.to_payload(), merged.spec.fingerprint, 0, 0
-                )
-            )
+    if merged.sweep.telemetry is not None:
+        body.append(
+            {"kind": SHARD_TELEMETRY_KIND, "snapshot": merged.sweep.telemetry}
         )
-        for record in body:
-            fh.write_line(_dump(record))
-        if merged.sweep.telemetry is not None:
-            fh.write_line(
-                _dump(
-                    {
-                        "kind": SHARD_TELEMETRY_KIND,
-                        "snapshot": merged.sweep.telemetry,
-                    }
-                )
-            )
+    _write_artifact(path, codec, merged.spec, (0, 0), body)
     return path

@@ -61,8 +61,10 @@ def shard_status_path(artifact_path) -> Path:
 class ShardStatusWriter:
     """Appends heartbeat rows to a shard's status sidecar.
 
-    Owned by :func:`~repro.parallel.sharding.run_shard`; one writer per
-    shard invocation.  ``clock``/``wall`` are injectable for tests
+    Owned by the sweep driver behind
+    :func:`~repro.parallel.sharding.run_shard` and
+    :func:`~repro.parallel.scheduler.run_scheduled`; one writer per
+    invocation.  ``clock``/``wall`` are injectable for tests
     (monotonic seconds for latency math, Unix seconds for freshness).
     """
 
@@ -90,8 +92,8 @@ class ShardStatusWriter:
         self.failed = 0
         self.retried = 0
         self.resumed = 0
-        #: Scheduler-only counters (stay 0 under static sharding): cells
-        #: a worker took from another home queue, and leases reclaimed
+        #: Worker-fleet counters (stay 0 for in-process runs): cells a
+        #: worker took from another home queue, and leases reclaimed
         #: from expired/dead workers.  Additive keys — STATUS_SCHEMA is
         #: unchanged because readers of schema 1 ignore unknown keys.
         self.steals = 0

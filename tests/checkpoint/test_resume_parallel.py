@@ -172,7 +172,7 @@ class TestRunShardDrain:
         )
 
 
-def _kill_once_cell(*args):
+def _kill_once_cell(*args, **kwargs):
     """Scheduler chaos cell: SIGKILL the worker once, then delegate.
 
     Module-level so it pickles into spawned workers; the marker file
@@ -187,7 +187,7 @@ def _kill_once_cell(*args):
         else:
             os.close(fd)
             os.kill(os.getpid(), signal.SIGKILL)
-    return run_cell(*args)
+    return run_cell(*args, **kwargs)
 
 
 class TestSchedulerSnapshotReclaim:

@@ -4,12 +4,7 @@ import os
 
 import pytest
 
-from repro.parallel.pool import (
-    default_workers,
-    fold_results,
-    iter_tasks,
-    run_tasks,
-)
+from repro.parallel.pool import default_workers, fold_results, run_tasks
 
 
 def square(x):
@@ -56,6 +51,14 @@ class TestRunTasks:
     def test_chunksize_validation(self):
         with pytest.raises(ValueError):
             run_tasks(square, [(1,), (2,)], max_workers=2, chunksize=0)
+        with pytest.raises(ValueError):
+            run_tasks(square, [(1,), (2,)], chunksize=0)
+
+    def test_invalid_max_workers_raises(self):
+        with pytest.raises(ValueError):
+            run_tasks(square, [(1,), (2,)], max_workers=0)
+        with pytest.raises(ValueError):
+            run_tasks(square, [], max_workers=0)
 
 
 class TestFoldResults:
@@ -91,28 +94,41 @@ class TestFoldResults:
 
 
 class TestIterTasks:
+    """What callers of the retired streaming ``iter_tasks`` relied on,
+    now held by ``run_tasks``: lazy iterables of task tuples, submission
+    order under chunked dispatch, in-process serial runs, and argument
+    validation before any task executes."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("repro.parallel.pool.ProcessPoolExecutor", refuse)
+
     def test_streams_in_submission_order(self):
-        it = iter_tasks(square, [(i,) for i in range(8)], max_workers=2)
-        assert next(it) == 0
-        assert list(it) == [i * i for i in range(1, 8)]
+        tasks = ((i,) for i in range(8))
+        results = run_tasks(square, tasks, max_workers=2, chunksize=3)
+        assert results == [i * i for i in range(8)]
 
-    def test_serial_streaming(self):
-        assert list(iter_tasks(square, [(3,), (4,)], serial=True)) == [9, 16]
+    def test_serial_streaming(self, no_pool):
+        assert run_tasks(square, iter([(3,), (4,)]), serial=True) == [9, 16]
 
-    def test_empty(self):
-        assert list(iter_tasks(square, [])) == []
+    def test_empty(self, no_pool):
+        assert run_tasks(square, iter([]), max_workers=2) == []
+        assert run_tasks(square, iter([]), serial=True) == []
 
     def test_invalid_chunksize_raises_eagerly(self):
-        """Regression: validation must fire at the call, not on the
-        first next() of an unadvanced generator."""
-        with pytest.raises(ValueError):
-            iter_tasks(square, [(1,), (2,)], chunksize=0)
+        """Regression: validation must fire before the first task runs."""
+        ran = []
 
-    def test_invalid_max_workers_raises_eagerly(self):
+        def record(x):
+            ran.append(x)
+            return x
+
         with pytest.raises(ValueError):
-            iter_tasks(square, [(1,), (2,)], max_workers=0)
-        with pytest.raises(ValueError):
-            iter_tasks(square, [], max_workers=0)
+            run_tasks(record, [(1,), (2,)], serial=True, chunksize=0)
+        assert ran == []
 
 
 class TestDefaultWorkers:

@@ -48,11 +48,7 @@ KILL_SEED, FAIL_SEED = 0, 1
 CHAOS_LAMBDA = 4.0
 
 
-def _chaos_cell(
-    protocol, lam, seed, initial_energy, rounds, stop, telemetry,
-    backend="auto", faults=None, equivalence="bitwise", max_block_mb=None,
-    routing="direct",
-):
+def _chaos_cell(protocol, lam, seed, **kwargs):
     kill_dir = os.environ.get(KILL_DIR_ENV)
     if kill_dir and seed == KILL_SEED and lam == CHAOS_LAMBDA:
         marker = Path(kill_dir) / "killed-once"
@@ -65,13 +61,7 @@ def _chaos_cell(
         and not os.environ.get(HEAL_ENV)
     ):
         raise ValueError("injected deterministic cell failure")
-    return run_cell(
-        protocol, lam, seed,
-        initial_energy=initial_energy, rounds=rounds,
-        stop_on_death=stop, telemetry=telemetry, backend=backend,
-        faults=faults, equivalence=equivalence, max_block_mb=max_block_mb,
-        routing=routing,
-    )
+    return run_cell(protocol, lam, seed, **kwargs)
 
 
 def _cell_ids_by_seed(spec):

@@ -32,20 +32,10 @@ def _write_job(jobs_dir, name, *, spec=SPEC, **options):
     return path
 
 
-def _failing_cell(
-    protocol, lam, seed, initial_energy, rounds, stop, telemetry,
-    backend="auto", faults=None, equivalence="bitwise", max_block_mb=None,
-    routing="direct",
-):
+def _failing_cell(protocol, lam, seed, **kwargs):
     if seed == 1 and lam == 4.0:
         raise ValueError("injected serve-test failure")
-    return run_cell(
-        protocol, lam, seed,
-        initial_energy=initial_energy, rounds=rounds,
-        stop_on_death=stop, telemetry=telemetry, backend=backend,
-        faults=faults, equivalence=equivalence, max_block_mb=max_block_mb,
-        routing=routing,
-    )
+    return run_cell(protocol, lam, seed, **kwargs)
 
 
 class TestJobCatalog:
@@ -134,6 +124,17 @@ class TestServeOnce:
         assert status["kind"] == "serve-status"
         assert status["state"] == "idle"
         assert [j["state"] for j in status["jobs"]] == ["complete"] * 2
+
+    def test_non_artifact_at_artifact_path_propagates(self, tmp_path):
+        """A foreign file where a job's artifact belongs stops the pass
+        with the sweep's ValueError instead of being overwritten."""
+        _write_job(tmp_path, "j")
+        artifact = tmp_path / "artifacts" / "j.jsonl"
+        artifact.parent.mkdir()
+        artifact.write_text("someone else's file\n")
+        with pytest.raises(ValueError, match="j.jsonl"):
+            serve_once(tmp_path, workers=1, poll_seconds=0.02)
+        assert artifact.read_text() == "someone else's file\n"
 
     def test_second_pass_is_an_idempotent_resume(self, tmp_path):
         _write_job(tmp_path, "j")

@@ -8,6 +8,7 @@ module-scoped fixtures; every hypothesis example only re-merges
 in-memory artifacts, so hundreds of examples stay cheap.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -29,7 +30,7 @@ from repro.parallel.sharding import (
     write_merged_artifact,
 )
 from repro.telemetry import deterministic_view
-from repro.telemetry.manifest import SHARD_MANIFEST_KIND
+from repro.telemetry.manifest import SHARD_MANIFEST_KIND, config_fingerprint
 
 SPEC = SweepSpec(
     protocols=("direct",),
@@ -79,6 +80,10 @@ class TestSpec:
         assert spec.protocols == ("direct",)
         assert spec.lambdas == (4.0,)
 
+    def test_unknown_protocol_rejected_with_registry_names(self):
+        with pytest.raises(ValueError, match=r"\['nope'\].*known: .*'qlec'"):
+            SweepSpec(protocols=("direct", "nope"), lambdas=(4.0,), seeds=(0,))
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(protocols=(), lambdas=(4.0,), seeds=(0,))
@@ -86,11 +91,29 @@ class TestSpec:
     def test_len_is_grid_size(self):
         assert len(SPEC) == 1 * 2 * 3
 
-    def test_cell_args_match_cells_order(self):
-        args = SPEC.cell_args()
-        cells = SPEC.cells()
-        assert [(a[0], a[1], a[2]) for a in args] == [
-            (c.protocol, c.lam, c.seed) for c in cells
+    def test_workers_run_the_config_each_cell_id_pins(self, monkeypatch):
+        """run_cell, called with the spec's cell kwargs, builds exactly
+        the config whose fingerprint enumeration hashed into the cell
+        ID — one derivation, not two that must be kept in step."""
+        import repro.analysis.sweep as sweep_mod
+
+        built = []
+        real = sweep_mod.cell_config
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(sweep_mod, "cell_config", spy)
+        spec = SweepSpec(
+            protocols=("direct",), lambdas=(4.0,), seeds=(0, 1), rounds=1,
+            faults="churn", routing="tree", max_block_mb=8.0,
+        )
+        cells = spec.cells()
+        for c in cells:
+            sweep_mod.run_cell(c.protocol, c.lam, c.seed, **spec.cell_kwargs())
+        assert [config_fingerprint(cfg) for cfg in built] == [
+            c.config_fingerprint for c in cells
         ]
 
 
@@ -144,6 +167,74 @@ class TestCellIdentity:
         assert a.cell_id != SweepCell.build(
             "direct", 4.0, 0, "ab" * 8, True
         ).cell_id
+
+
+#: The grid axes: they place a cell in the grid rather than shape it.
+AXES = {"protocols", "lambdas", "seeds"}
+#: SweepSpec fields that change how cells run but never what they
+#: compute, each with the reason; they must leave every cell ID alone.
+EXECUTION_ONLY = {
+    "telemetry": (
+        True,
+        "instrumentation only: rows gain a snapshot, the simulation is "
+        "bit-identical traced or untraced",
+    ),
+}
+#: Every other field shapes the result, so a changed value (relative
+#: to the base spec below) must move every cell ID.
+IDENTITY = {
+    "initial_energy": 0.5,
+    "rounds": 3,
+    "stop_on_death": True,
+    "backend": "numba",
+    "faults": "churn",
+    "equivalence": "statistical",
+    "max_block_mb": 8.0,
+    "routing": "tree",
+}
+
+
+class TestFieldClassification:
+    """"A knob changes results but not the cell ID" is a test failure:
+    every SweepSpec field is either identity or explicitly
+    execution-only, and a new unclassified field fails here."""
+
+    BASE = SweepSpec(
+        protocols=("direct",), lambdas=(4.0, 8.0), seeds=(0, 1), rounds=2,
+        backend="numpy",
+    )
+
+    @pytest.fixture(autouse=True)
+    def numba_resolvable(self, monkeypatch):
+        """Let "numba" resolve to itself on numpy-only hosts, so the
+        backend field is exercised everywhere (enumeration only)."""
+        from repro.kernels import numba_backend, registry
+
+        for mod in (numba_backend, registry):
+            monkeypatch.setattr(mod, "numba_version", lambda: "99.0-fake")
+        registry._INSTANCES.pop("numba", None)
+        yield
+        registry._INSTANCES.pop("numba", None)
+
+    def test_every_field_is_classified(self):
+        fields = {f.name for f in dataclasses.fields(SweepSpec)} - AXES
+        assert not set(IDENTITY) & set(EXECUTION_ONLY)
+        assert fields == set(IDENTITY) | set(EXECUTION_ONLY)
+
+    @pytest.mark.parametrize("name", sorted(IDENTITY))
+    def test_identity_field_moves_every_cell_id(self, name):
+        changed = dataclasses.replace(self.BASE, **{name: IDENTITY[name]})
+        assert {c.cell_id for c in changed.cells()}.isdisjoint(
+            c.cell_id for c in self.BASE.cells()
+        )
+
+    @pytest.mark.parametrize("name", sorted(EXECUTION_ONLY))
+    def test_execution_only_field_keeps_cell_ids(self, name):
+        value, _reason = EXECUTION_ONLY[name]
+        changed = dataclasses.replace(self.BASE, **{name: value})
+        assert [c.cell_id for c in changed.cells()] == [
+            c.cell_id for c in self.BASE.cells()
+        ]
 
 
 class TestPartition:

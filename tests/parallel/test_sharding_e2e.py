@@ -8,11 +8,14 @@ the config fingerprint moves; and a cell that keeps raising in a
 worker must surface as an error row, not a lost cell or a dead shard.
 """
 
+import dataclasses
 import json
+import re
 
 import pytest
 
 from repro.analysis.sweep import run_cell, sweep_from_spec
+from repro.parallel.scheduler import run_scheduled
 from repro.parallel.sharding import (
     CELL_ERROR_KIND,
     CELL_KIND,
@@ -201,7 +204,52 @@ class TestResume:
         assert merged.sweep.telemetry is not None
 
 
-def _interrupting_cell(*args):
+#: Both artifact-writing entry points, run the way their CLI defaults
+#: would run a tiny grid; they share one sweep driver and must share its
+#: resume and refusal rules.
+ENTRY_POINTS = {
+    "run_shard": lambda spec, path, **kw: run_shard(
+        spec, 1, 1, path, serial=True, **kw
+    ),
+    "run_scheduled": lambda spec, path, **kw: run_scheduled(
+        spec, path, num_workers=1, poll_seconds=0.02, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+class TestOneResumeRule:
+    GRID = SweepSpec(
+        protocols=("direct",), lambdas=(4.0,), seeds=(0, 1, 2), rounds=2
+    )
+
+    def test_grown_grid_runs_only_the_new_cells(self, entry, tmp_path):
+        """Rows are reused by cell ID: adding a 4th seed to a 3-seed
+        artifact computes 1 cell and keeps 3."""
+        run = ENTRY_POINTS[entry]
+        path = tmp_path / "grid.jsonl"
+        run(self.GRID, path)
+        grown = dataclasses.replace(self.GRID, seeds=(0, 1, 2, 3))
+        result = run(grown, path)
+        assert len(result.executed) == 1
+        assert len(result.skipped) == 3
+        merged = merge_artifacts([path]).require_complete()
+        assert merged.spec == grown
+        assert merged.sweep.rows == sweep_from_spec(grown, serial=True).rows
+
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_non_artifact_is_refused_and_left_untouched(
+        self, entry, resume, tmp_path
+    ):
+        path = tmp_path / "notes.jsonl"
+        path.write_text("my notes; not a sweep artifact\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            ENTRY_POINTS[entry](self.GRID, path, resume=resume)
+        assert path.read_bytes() == before
+
+
+def _interrupting_cell(*args, **kwargs):
     """Stand-in for a hard crash (SIGINT) mid-shard: _guarded_cell
     absorbs Exception but BaseException rips through run_shard."""
     raise KeyboardInterrupt
@@ -220,24 +268,14 @@ def _reset_fault():
     _FAULT["calls"] = {}
 
 
-def faulty_cell(
-    protocol, lam, seed, initial_energy, rounds, stop, telemetry,
-    backend="auto", faults=None, equivalence="bitwise", max_block_mb=None,
-    routing="direct",
-):
+def faulty_cell(protocol, lam, seed, **kwargs):
     key = (protocol, lam, seed)
     _FAULT["calls"][key] = _FAULT["calls"].get(key, 0) + 1
     if seed in _FAULT["seeds"]:
         raise RuntimeError(f"injected fault for seed {seed}")
     if _FAULT["flaky_first_attempt"] and _FAULT["calls"][key] == 1:
         raise RuntimeError("transient fault on first attempt")
-    return run_cell(
-        protocol, lam, seed,
-        initial_energy=initial_energy, rounds=rounds,
-        stop_on_death=stop, telemetry=telemetry, backend=backend,
-        faults=faults, equivalence=equivalence, max_block_mb=max_block_mb,
-        routing=routing,
-    )
+    return run_cell(protocol, lam, seed, **kwargs)
 
 
 class TestFailurePaths:
@@ -326,23 +364,13 @@ class TestFailurePaths:
         assert all(e["attempts"] == 1 for e in result.errors)
 
 
-def _deterministic_faulty_cell(
-    protocol, lam, seed, initial_energy, rounds, stop, telemetry,
-    backend="auto", faults=None, equivalence="bitwise", max_block_mb=None,
-    routing="direct",
-):
+def _deterministic_faulty_cell(protocol, lam, seed, **kwargs):
     """Fails like a code bug, not like a flaky environment."""
     key = (protocol, lam, seed)
     _FAULT["calls"][key] = _FAULT["calls"].get(key, 0) + 1
     if seed in _FAULT["seeds"]:
         raise ValueError(f"deterministic bug for seed {seed}")
-    return run_cell(
-        protocol, lam, seed,
-        initial_energy=initial_energy, rounds=rounds,
-        stop_on_death=stop, telemetry=telemetry, backend=backend,
-        faults=faults, equivalence=equivalence, max_block_mb=max_block_mb,
-        routing=routing,
-    )
+    return run_cell(protocol, lam, seed, **kwargs)
 
 
 class TestErrorClassification:

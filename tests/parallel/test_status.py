@@ -23,20 +23,10 @@ SPEC = SweepSpec(
 )
 
 
-def _failing_cell(
-    protocol, lam, seed, initial_energy, rounds, stop, telemetry,
-    backend="auto", faults=None, equivalence="bitwise", max_block_mb=None,
-    routing="direct",
-):
+def _failing_cell(protocol, lam, seed, **kwargs):
     if seed == 1:
         raise RuntimeError("injected status-test fault")
-    return run_cell(
-        protocol, lam, seed,
-        initial_energy=initial_energy, rounds=rounds,
-        stop_on_death=stop, telemetry=telemetry, backend=backend,
-        faults=faults, equivalence=equivalence, max_block_mb=max_block_mb,
-        routing=routing,
-    )
+    return run_cell(protocol, lam, seed, **kwargs)
 
 
 class TestWriterUnit:

@@ -35,9 +35,8 @@ class TestSweepSpec:
         ids_tree = [c.cell_id for c in tree.cells()]
         assert set(ids_direct).isdisjoint(ids_tree)
 
-    def test_cell_args_carry_routing_last(self):
-        for args in spec(routing="qspt").cell_args():
-            assert args[-1] == "qspt"
+    def test_cell_kwargs_carry_routing(self):
+        assert spec(routing="qspt").cell_kwargs()["routing"] == "qspt"
 
     def test_cell_config_fingerprints_embed_routing(self):
         """The materialised per-cell config hashes the routing kind, so
@@ -50,14 +49,18 @@ class TestSweepSpec:
 
 class TestWorkerArgs:
     def test_default_cell_fn_accepts_cell_args_and_routes(self):
-        """The shard/scheduler worker entrypoint must accept the full
-        canonical ``cell_args()`` tuple and actually run the substrate
-        the spec (and hence the cell ID) pinned — a dropped routing
-        argument would silently compute direct cells under tree IDs."""
-        from repro.parallel.sharding import _default_cell_fn
+        """The shard/scheduler worker's default cell, called with the
+        spec's cell kwargs, must actually run the substrate the spec
+        (and hence the cell ID) pinned — a dropped routing argument
+        would silently compute direct cells under tree IDs."""
+        from repro.parallel.sharding import _guarded_cell
 
-        args = spec(routing="tree", rounds=2).cell_args()[0]
-        row = _default_cell_fn(*args)
+        s = spec(routing="tree", rounds=2)
+        cell = s.cells()[0]
+        status, row, _ = _guarded_cell(
+            None, (cell.protocol, cell.lam, cell.seed), 0, s.cell_kwargs()
+        )
+        assert status == "ok"
         assert row["routing"]["kind"] == "tree"
 
 
