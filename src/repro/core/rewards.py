@@ -94,6 +94,20 @@ class RewardModel:
             self.radio.amp(b, distance), dtype=np.float64
         ) / self._cost_ref
 
+    def reach(self, cost: float) -> float:
+        """The distance at which :meth:`y` reaches ``cost``: its inverse.
+
+        ``y`` grows with distance, and its two regimes meet at the
+        crossover ``d0 = sqrt(eps_fs / eps_mp)``.
+        """
+        if cost <= 0.0:
+            return 0.0
+        c = self.radio.config
+        per_bit = cost * self._cost_ref / self.bits
+        if per_bit < c.eps_fs * c.d0**2:
+            return float(np.sqrt(per_bit / c.eps_fs))
+        return float((per_bit / c.eps_mp) ** 0.25)
+
     # ------------------------------------------------------------------
     def success_reward(
         self,

@@ -30,9 +30,20 @@ from ..config import QLearningConfig
 from ..rl.policies import EpsilonGreedyPolicy, GreedyPolicy, Policy
 from ..rl.qtable import VTable
 from ..simulation.state import NetworkState
+from .relay_grid import HeadGrid
 from .rewards import RewardModel
 
 __all__ = ["QRouter"]
+
+#: Smallest ``senders x (k+1)`` block worth pruning; below it building
+#: the grid costs more than the dense block it would save.
+PRUNE_MIN_BLOCK = 1 << 14
+#: Prune only when a sender's 3x3x3 block of cells is expected to hold
+#: at most this share of the heads.
+PRUNE_MAX_SHARE = 0.25
+#: Relative rounding margin of the pruning certificate: far above the
+#: few ulps by which the computed Q and bound can stray.
+PRUNE_MARGIN = 2.0**-30
 
 
 class QRouter:
@@ -83,8 +94,10 @@ class QRouter:
         #: Kernel backend for the batched Q block (shared with every
         #: substrate of the state; bit-identical across backends).
         self.kernels = state.kernels
-        #: Number of Q evaluations performed (the per-call k+1 of
-        #: Lemma 3); together with ``v.update_count`` this measures X.
+        #: Number of Q evaluations in the logical action sets (the
+        #: per-call k+1 of Lemma 3), counted the same whether or not
+        #: relay choice pruned the block; together with
+        #: ``v.update_count`` this measures X.
         self.q_evaluations = 0
 
     # ------------------------------------------------------------------
@@ -134,6 +147,48 @@ class QRouter:
             self.v[node] = old + self.learning_rate * (v_new - old)
         return int(targets[self.policy.select(q, rng)])
 
+    def _action_terms(
+        self, nodes: np.ndarray, heads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The per-column half of the Q block: ``(targets, p, is_bs,
+        x_dst, v_targets)``.
+
+        ``p`` is the ``(len(nodes), k+1)`` link-estimate block.  A shared
+        estimator holds one row, so the ``k+1`` targets are gathered and
+        range-checked once and the row is broadcast; per-pair estimates
+        are gathered as a block.  Either way every value the block scores
+        is checked.
+        """
+        st = self.state
+        targets = self.action_targets(heads)
+        est = st.link_estimator
+        if est.shared:
+            p = np.broadcast_to(est.row(0)[targets], (nodes.size, targets.size))
+            scored = p[:1]  # the one distinct row (none without senders)
+        else:
+            p = np.asarray(est.estimates[np.ix_(nodes, targets)], dtype=np.float64)
+            scored = p
+        if np.any((scored < 0.0) | (scored > 1.0)):
+            raise ValueError("success probabilities must lie in [0, 1]")
+        is_bs = targets == st.bs_index
+        e_dst = np.where(
+            is_bs, 0.0, st.ledger.residual[np.where(is_bs, 0, targets)]
+        )
+        return targets, p, is_bs, self.rewards.x(e_dst), self.v.get_many(targets)
+
+    def _expected_q(self, p, y, x_src, x_dst, is_bs, v_targets, v_self):
+        c = self.rewards.cfg
+        return self.kernels.expected_q(
+            p, y, x_src, x_dst, is_bs, v_targets, v_self,
+            g=c.g,
+            alpha1=c.alpha1,
+            alpha2=c.alpha2,
+            beta1=c.beta1,
+            beta2=c.beta2,
+            bs_penalty=c.bs_penalty,
+            gamma=self.cfg.gamma,
+        )
+
     def _q_block(
         self, nodes: np.ndarray, heads: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,40 +200,133 @@ class QRouter:
         residual normalisations are computed by the same shared numpy
         code as the scalar path, and the backend's ``expected_q``
         combine preserves the reference's per-element expression tree
-        exactly (see :mod:`repro.kernels.base`).
+        exactly (see :mod:`repro.kernels.base`).  This dense block is
+        the contract every other relay-choice path reproduces.
         """
         st = self.state
-        targets = self.action_targets(heads)
         nodes = np.asarray(nodes, dtype=np.intp)
-        distances = st.distances_matrix(nodes, targets)
-        p = np.asarray(
-            st.link_estimator.estimates[np.ix_(nodes, targets)],
-            dtype=np.float64,
-        )
-        if np.any((p < 0.0) | (p > 1.0)):
-            raise ValueError("success probabilities must lie in [0, 1]")
-        is_bs = targets == st.bs_index
-        e_dst = np.where(
-            is_bs, 0.0, st.ledger.residual[np.where(is_bs, 0, targets)]
-        )
-        c = self.rewards.cfg
-        q, v_new = self.kernels.expected_q(
+        targets, p, is_bs, x_dst, v_targets = self._action_terms(nodes, heads)
+        q, v_new = self._expected_q(
             p,
-            self.rewards.y(distances),
+            self.rewards.y(st.distances_matrix(nodes, targets)),
             self.rewards.x(st.ledger.residual[nodes]),
-            self.rewards.x(e_dst),
+            x_dst,
             is_bs,
-            self.v.get_many(targets),
+            v_targets,
             self.v.get_many(nodes),
-            g=c.g,
-            alpha1=c.alpha1,
-            alpha2=c.alpha2,
-            beta1=c.beta1,
-            beta2=c.beta2,
-            bs_penalty=c.bs_penalty,
-            gamma=self.cfg.gamma,
         )
-        self.q_evaluations += q.size
+        return q, v_new, targets
+
+    def _prune_grid(self, nodes: np.ndarray, heads: np.ndarray) -> HeadGrid | None:
+        """Decide, from what this call can observe, whether to prune.
+
+        Pruning needs the paper's greedy expected backup (argmax plus
+        its tie set is all that is used), the bitwise tier (the pruned
+        path scores pairs with the exact pair-distance kernel), a cost
+        term in both reward branches, and a block large enough to
+        repay building the grid.  The grid's cells are at least as wide
+        as the distance whose cost outweighs a typical head's deficit in
+        the head term ``alpha1 x(h) + gamma V(h)`` (largest minus
+        median); when a 3x3x3 block of such cells would cover much of
+        the grid the bound cannot prune enough, and the dense block is
+        cheaper.
+        """
+        c = self.rewards.cfg
+        if (
+            type(self.policy) is not GreedyPolicy
+            or self.learning_rate is not None
+            or self.kernels.equivalence != "bitwise"
+            or min(c.alpha2, c.beta2) <= 0.0
+            or nodes.size * (heads.size + 1) < PRUNE_MIN_BLOCK
+        ):
+            return None
+        st = self.state
+        head_terms = c.alpha1 * self.rewards.x(st.ledger.residual[heads]) + (
+            self.cfg.gamma * self.v.get_many(heads)
+        )
+        spread = float(head_terms.max() - np.median(head_terms))
+        if not np.isfinite(spread):
+            return None
+        grid = HeadGrid.for_heads(
+            st.nodes.positions[heads], self.rewards.reach(spread / c.alpha2)
+        )
+        return grid if grid.scored_share <= PRUNE_MAX_SHARE else None
+
+    def _q_block_pruned(
+        self, nodes: np.ndarray, heads: np.ndarray, grid: HeadGrid
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_q_block` with provably losing entries left unscored.
+
+        Returns ``(q, v_new, targets)`` like the dense block, except
+        that an entry this path did not score holds ``-inf``.  Every
+        scored entry is bitwise the dense value, each row's maximum and
+        tied set are the dense row's, and so are ``v_new`` and whatever
+        the greedy policy picks from ``q``.
+
+        Each sender is scored against the BS and the heads in the 3x3x3
+        grid block around it.  Any other head ``j`` lies at least
+        ``gap`` away, and its Q is linear in ``p`` in ``[0, 1]``, so
+
+            Q <= max(-g + alpha1 (x_i + x_j) - alpha2 y + gamma V_j,
+                     -g + beta1 x_i - beta2 y + gamma V_i)
+
+        with ``y >= y(gap)`` (y grows with distance) and ``alpha1 x_j +
+        gamma V_j`` at most its largest value over the heads.  A row
+        whose bound, plus a rounding margin, falls strictly below its
+        best scored Q is certified; every other row is scored on the
+        dense block.
+        """
+        st = self.state
+        c = self.rewards.cfg
+        gamma = self.cfg.gamma
+        nodes = np.asarray(nodes, dtype=np.intp)
+        targets, p, is_bs, x_dst, v_targets = self._action_terms(nodes, heads)
+        n, k = nodes.size, heads.size
+        x_src = self.rewards.x(st.ledger.residual[nodes])
+        v_src = self.v.get_many(nodes)
+        src = st.nodes.positions[nodes]
+
+        rows, cols, gap = grid.neighbours(src)
+        d = np.concatenate([
+            self.kernels.distance_pairs(src[rows], st.nodes.positions[heads[cols]]),
+            st.topology.d_to_bs[nodes],
+        ])
+        rows = np.concatenate([rows, np.arange(n)])
+        cols = np.concatenate([cols, np.full(n, k)])
+        q_pairs, _ = self._expected_q(
+            p[rows, cols][:, None],
+            self.rewards.y(d)[:, None],
+            x_src[rows],
+            x_dst[cols][:, None],
+            is_bs[cols][:, None],
+            v_targets[cols][:, None],
+            v_src[rows],
+        )
+        q = np.full((n, k + 1), -np.inf)
+        q[rows, cols] = q_pairs[:, 0]
+        v_new = q.max(axis=1)
+
+        head_terms = c.alpha1 * x_dst[:k] + gamma * v_targets[:k]
+        bounded = np.isfinite(gap)
+        y_lb = self.rewards.y(np.where(bounded, gap, 0.0))
+        bound = np.maximum(
+            -c.g + c.alpha1 * x_src + head_terms.max() - c.alpha2 * y_lb,
+            -c.g + c.beta1 * x_src - c.beta2 * y_lb + gamma * v_src,
+        )
+        magnitude = (
+            abs(c.g)
+            + (c.alpha1 + c.beta1) * np.abs(x_src)
+            + c.alpha1 * np.abs(x_dst[:k]).max()
+            + (c.alpha2 + c.beta2) * y_lb
+            + gamma * (np.abs(v_targets[:k]).max() + np.abs(v_src))
+            + np.abs(v_new)
+        )
+        bound = np.where(bounded, bound + PRUNE_MARGIN * magnitude, -np.inf)
+        # A zero maximum is left to the dense block: max() may return
+        # either sign of zero depending on which entries it compares.
+        dense = np.flatnonzero(~(bound < v_new) | (v_new == 0.0))
+        if dense.size:
+            q[dense], v_new[dense], _ = self._q_block(nodes[dense], heads)
         return q, v_new, targets
 
     def q_values_many(
@@ -191,7 +339,8 @@ class QRouter:
         order, so evaluating senders together (on any kernel backend)
         changes nothing but wall-clock.
         """
-        q, _, targets = self._q_block(nodes, heads)
+        q, _, targets = self._q_block(nodes, np.asarray(heads, dtype=np.intp))
+        self.q_evaluations += q.size
         return q, targets
 
     def choose_many(
@@ -207,12 +356,25 @@ class QRouter:
         so the batch equals the sequential sorted-order loop (the
         engine's canonical order) exactly — including the policy's
         tie-break draws, consumed in row order.
+
+        Large calls under the greedy policy score only the heads that
+        can still win each row (:meth:`_q_block_pruned`); picks, V
+        values and tie-break draws are bitwise those of the dense
+        block.  ``q_evaluations`` counts the logical action set,
+        ``len(nodes) * (k+1)``, on every path (Lemma 3's accounting);
+        the work actually scored shows up as ``expected_q`` elements
+        under kernel profiling.
         """
         nodes = np.asarray(nodes, dtype=np.intp)
         heads = np.asarray(heads, dtype=np.intp)
         if heads.size == 0:
             return np.full(nodes.size, self.state.bs_index, dtype=np.intp)
-        q, v_new, targets = self._q_block(nodes, heads)
+        grid = self._prune_grid(nodes, heads)
+        if grid is None:
+            q, v_new, targets = self._q_block(nodes, heads)
+        else:
+            q, v_new, targets = self._q_block_pruned(nodes, heads, grid)
+        self.q_evaluations += q.size
         if self.learning_rate is None:
             self.v.set_many(nodes, v_new)
         else:

@@ -264,6 +264,12 @@ class KernelBackend(abc.ABC):
             r_t = p*r_s + (1-p)*r_f
             q   = r_t + gamma*(p*v_targets[j] + (1-p)*v_self[i])
 
+        The column operands ``x_dst``, ``is_bs`` and ``v_targets`` are
+        ``(actions,)`` vectors, or ``(senders, actions)`` blocks when
+        each row scores its own columns (pruned relay choice passes
+        gathered pairs as ``(pairs, 1)`` blocks); the per-element tree
+        is the same either way, read at ``[i, j]`` instead of ``[j]``.
+
         Returns ``(q, v_new)`` where ``v_new[i] = max_j q[i, j]`` (the
         tabular V update; max is exact, so fusing it is free).
         """

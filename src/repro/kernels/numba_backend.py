@@ -259,6 +259,13 @@ class NumbaBackend(NumpyBackend):
         self, p, y, x_src, x_dst, is_bs, v_targets, v_self,
         g, alpha1, alpha2, beta1, beta2, bs_penalty, gamma,
     ):
+        if max(np.ndim(x_dst), np.ndim(is_bs), np.ndim(v_targets)) == 2:
+            # Per-row column operands (pruned relay choice): the numpy
+            # reference is exact, and the gathered blocks are small.
+            return super().expected_q(
+                p, y, x_src, x_dst, is_bs, v_targets, v_self,
+                g, alpha1, alpha2, beta1, beta2, bs_penalty, gamma,
+            )
         return self._k["expected_q"](
             _c(p, np.float64), _c(y, np.float64), _c(x_src, np.float64),
             _c(x_dst, np.float64), _c(is_bs, np.bool_),

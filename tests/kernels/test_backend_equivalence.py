@@ -109,6 +109,12 @@ class TestKernelEquivalence:
         q2, v2 = jit.expected_q(p, y, x_src, x_dst, is_bs, v_t, v_s, **params)
         np.testing.assert_array_equal(q1, q2)
         np.testing.assert_array_equal(v1, v2)
+        # Per-row (2-D) column operands, as pruned relay choice passes.
+        per_row = [np.tile(a, (n, 1)) for a in (x_dst, is_bs, v_t)]
+        q3, v3 = jit.expected_q(p, y, x_src, per_row[0], per_row[1],
+                                per_row[2], v_s, **params)
+        np.testing.assert_array_equal(q1, q3)
+        np.testing.assert_array_equal(v1, v3)
 
     def test_reference_pinned_methods_are_shared_code(self, backends):
         """Distances and the Bernoulli compare must be the *same numpy

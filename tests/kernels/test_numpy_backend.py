@@ -8,6 +8,8 @@ precomputed decay table.
 """
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import NumpyBackend
 
@@ -40,6 +42,21 @@ class TestGeometry:
         block = BK.distance_block(src, dst)[0]
         pairs = BK.distance_pairs(np.broadcast_to(src, (6, 3)).copy(), dst)
         np.testing.assert_array_equal(block, pairs)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_gathered_pairs_equal_block_entries(self, seed, n, m):
+        """Pruned relay choice scores gathered (sender, head) pairs with
+        the pair kernel; each must equal its dense block entry bitwise."""
+        rng = np.random.default_rng(seed)
+        src = rng.uniform(-500, 500, (n, 3))
+        dst = rng.uniform(-500, 500, (m, 3))
+        rows = rng.integers(0, n, 3 * n)
+        cols = rng.integers(0, m, 3 * n)
+        np.testing.assert_array_equal(
+            BK.distance_pairs(src[rows], dst[cols]),
+            BK.distance_block(src, dst)[rows, cols],
+        )
 
 
 class TestBernoulli:
@@ -195,6 +212,39 @@ class TestExpectedQ:
         want = r_t + params["gamma"] * (p * v_t + (1.0 - p) * v_s[:, None])
         np.testing.assert_array_equal(q, want)
         np.testing.assert_array_equal(v_new, want.max(axis=1))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), m=st.integers(1, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_per_row_operands_match_the_column_form(self, seed, n, m):
+        """``x_dst``/``is_bs``/``v_targets`` may be per-row blocks: a
+        gathered ``(pairs, 1)`` call reproduces the block's entries."""
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0, 1, (n, m))
+        y = rng.uniform(0, 5, (n, m))
+        x_src = rng.uniform(0, 1, n)
+        x_dst = rng.uniform(0, 1, m)
+        is_bs = rng.uniform(0, 1, m) > 0.7
+        v_t = rng.normal(0, 1, m)
+        v_s = rng.normal(0, 1, n)
+        params = dict(
+            g=0.1, alpha1=0.05, alpha2=1.05, beta1=0.05, beta2=1.05,
+            bs_penalty=float(rng.uniform(0, 100)), gamma=0.95,
+        )
+        q, _ = BK.expected_q(p, y, x_src, x_dst, is_bs, v_t, v_s, **params)
+        rows = rng.integers(0, n, 2 * n)
+        cols = rng.integers(0, m, 2 * n)
+        q_pairs, v_pairs = BK.expected_q(
+            p[rows, cols][:, None], y[rows, cols][:, None], x_src[rows],
+            x_dst[cols][:, None], is_bs[cols][:, None], v_t[cols][:, None],
+            v_s[rows], **params,
+        )
+        np.testing.assert_array_equal(q_pairs[:, 0], q[rows, cols])
+        np.testing.assert_array_equal(v_pairs, q_pairs[:, 0])
+        tiled, _ = BK.expected_q(
+            p, y, x_src, np.tile(x_dst, (n, 1)), np.tile(is_bs, (n, 1)),
+            np.tile(v_t, (n, 1)), v_s, **params,
+        )
+        np.testing.assert_array_equal(tiled, q)
 
     def test_v_new_is_row_max(self):
         n, m = 3, 5

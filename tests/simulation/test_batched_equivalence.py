@@ -13,7 +13,18 @@ import numpy as np
 import pytest
 
 from repro.analysis import PROTOCOLS
-from repro.config import paper_config
+from repro.checkpoint import CHECKPOINT_SCHEMA, read_checkpoint, write_checkpoint
+from repro.config import (
+    DeploymentConfig,
+    QueueConfig,
+    SimulationConfig,
+    TrafficConfig,
+    paper_config,
+)
+from repro.core import QLECProtocol
+from repro.core.routing import QRouter
+from repro.energy.harvesting import HarvestingConfig
+from repro.network.mobility import MobilityConfig
 from repro.simulation.engine import SimulationEngine
 
 
@@ -73,3 +84,58 @@ def test_choose_relays_matches_scalar_loop(name):
     batched = _relay_choices(name, batched=True)
     scalar = _relay_choices(name, batched=False)
     assert batched.tolist() == scalar.tolist()
+
+
+def _pruning_config(rounds: int = 3) -> SimulationConfig:
+    """Large enough that every slot's relay choice takes the pruned path
+    (~800 senders x 121 actions, 120 heads in a 200 m cube), with nodes
+    moving and harvesting between rounds."""
+    return SimulationConfig(
+        deployment=DeploymentConfig(n_nodes=2000, side=200.0, initial_energy=2.0),
+        traffic=TrafficConfig(mean_interarrival=2.0),
+        queue=QueueConfig(),
+        rounds=rounds,
+        n_clusters=120,
+        seed=11,
+        mobility=MobilityConfig(speed=5.0),
+        harvesting=HarvestingConfig(model="solar", mean_income=0.01),
+    )
+
+
+def test_pruned_relay_choice_scalar_equals_batched(monkeypatch, tmp_path):
+    pruned_rounds = set()
+    pruned_block = QRouter._q_block_pruned
+
+    def spy(self, nodes, heads, grid):
+        q, v_new, targets = pruned_block(self, nodes, heads, grid)
+        if np.isinf(q).any():  # some entries really were left unscored
+            pruned_rounds.add(self.state.round_index)
+        return q, v_new, targets
+
+    monkeypatch.setattr(QRouter, "_q_block_pruned", spy)
+    cfg = _pruning_config()
+    batched_engine = SimulationEngine(cfg, QLECProtocol(), batched=True)
+    batched = batched_engine.run()
+    assert pruned_rounds == set(range(cfg.rounds))
+
+    scalar_engine = SimulationEngine(cfg, QLECProtocol(), batched=False)
+    scalar = scalar_engine.run()
+    assert fingerprint(batched) == fingerprint(scalar)
+    assert batched.packets.latencies == scalar.packets.latencies
+    assert batched.total_energy == scalar.total_energy
+    np.testing.assert_array_equal(
+        batched_engine.protocol.router.v.values.view(np.int64),
+        scalar_engine.protocol.router.v.values.view(np.int64),
+    )
+
+    # The grid is rebuilt per call and never stored: a checkpoint taken
+    # mid-run keeps its schema and resumes to the uninterrupted result.
+    interrupted = SimulationEngine(cfg, QLECProtocol(), batched=True)
+    interrupted.run_round()
+    path = tmp_path / "run-r00000001.ckpt"
+    header = write_checkpoint(interrupted, path)
+    assert header["schema"] == CHECKPOINT_SCHEMA == 1
+    _, restored = read_checkpoint(path)
+    resumed = restored.run()
+    assert fingerprint(resumed) == fingerprint(batched)
+    assert resumed.total_energy == batched.total_energy
