@@ -30,7 +30,10 @@ from ..simulation.state import NetworkState
 from .theory import cluster_radius
 
 __all__ = ["SelectionConfig", "SelectionResult", "ImprovedDEECSelector",
-           "energy_threshold", "rotation_threshold"]
+           "energy_threshold", "rotation_threshold", "spaced_greedy"]
+
+#: Candidates tested per vectorized block in :func:`spaced_greedy`.
+GREEDY_CHUNK = 128
 
 
 def energy_threshold(
@@ -62,6 +65,60 @@ def rotation_threshold(p: np.ndarray, round_index: int) -> np.ndarray:
     with np.errstate(divide="ignore"):
         t = np.where(denom > 1e-12, p / denom, 1.0)
     return np.clip(t, 0.0, 1.0)
+
+
+def spaced_greedy(
+    positions: np.ndarray,
+    order: np.ndarray,
+    kept: np.ndarray | list[int],
+    d_c: float | None,
+    limit: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The d_c-spaced greedy behind Algorithm 3 and the replacement rule.
+
+    Walks ``order`` once: a candidate joins ``kept`` unless a head
+    already kept lies within ``d_c`` of it (``d_c=None`` tests no
+    spacing), and the walk stops as soon as ``kept`` holds ``limit``
+    heads.  Returns ``(kept, rejected)``: the given heads followed by
+    the accepted candidates in walk order, and the candidates refused
+    for spacing, in walk order.
+
+    This is the per-candidate loop computed in blocks.  Each chunk of
+    :data:`GREEDY_CHUNK` candidates is tested against the heads kept
+    before it in one ``(chunk x kept)`` block; inside the chunk only
+    the unblocked candidates are visited, and each acceptance blocks
+    its later neighbors with one vector op.  Every distance is
+    ``np.linalg.norm`` of ``kept - candidate``, so each ``d <= d_c``
+    decision is the one the loop makes.
+    """
+    order = np.asarray(order, dtype=np.intp)
+    kept = [int(h) for h in kept]
+    if limit is None:
+        limit = len(kept) + order.size
+    if d_c is None:
+        room = max(limit - len(kept), 0)
+        return (np.asarray(kept + order[:room].tolist(), dtype=np.intp),
+                np.empty(0, dtype=np.intp))
+    rejected = [np.empty(0, dtype=np.intp)]
+    for start in range(0, order.size, GREEDY_CHUNK):
+        if len(kept) >= limit:
+            break
+        chunk = order[start:start + GREEDY_CHUNK]
+        pos = positions[chunk]
+        d = np.linalg.norm(positions[kept][None, :, :] - pos[:, None, :], axis=-1)
+        blocked = (d <= d_c).any(axis=1)
+        i = 0  # candidates chunk[:i] are decided
+        while len(kept) < limit:
+            free = np.flatnonzero(~blocked[i:])
+            if free.size == 0:
+                i = chunk.size
+                break
+            i += int(free[0]) + 1
+            kept.append(int(chunk[i - 1]))
+            d = np.linalg.norm(positions[chunk[i - 1]] - pos[i:], axis=1)
+            blocked[i:] |= d <= d_c
+        rejected.append(chunk[:i][blocked[:i]])
+    return np.asarray(kept, dtype=np.intp), np.concatenate(rejected)
 
 
 @dataclass(frozen=True)
@@ -171,17 +228,7 @@ class ImprovedDEECSelector:
         d_c = cluster_radius(self.k_target, state.config.deployment.side)
         energy = state.ledger.residual[elected]
         order = elected[np.argsort(-energy, kind="stable")]
-        positions = state.nodes.positions
-        kept: list[int] = []
-        suppressed: list[int] = []
-        for h in order:
-            if kept:
-                d = np.linalg.norm(positions[kept] - positions[h], axis=1)
-                if np.any(d <= d_c):
-                    suppressed.append(int(h))
-                    continue
-            kept.append(int(h))
-        return np.asarray(kept, dtype=np.intp), np.asarray(suppressed, dtype=np.intp)
+        return spaced_greedy(state.nodes.positions, order, [], d_c)
 
     def _promote(
         self, state: NetworkState, heads: np.ndarray, pools
@@ -192,27 +239,25 @@ class ImprovedDEECSelector:
         d_c = (
             cluster_radius(self.k_target, state.config.deployment.side)
             if self.config.use_redundancy_reduction
-            else 0.0
+            else None
         )
-        positions = state.nodes.positions
-        kept = [int(h) for h in heads]
+        kept = np.asarray(heads, dtype=np.intp)
+        # A candidate refused for spacing stays refused (kept only
+        # grows), so a later pool skips it instead of testing it again.
+        refused = np.empty(0, dtype=np.intp)
         for pool in pools:
-            if len(kept) >= self.k_target:
+            if kept.size >= self.k_target:
                 break
             pool = np.asarray(pool, dtype=np.intp)
-            pool = pool[~np.isin(pool, kept)]
+            pool = pool[~np.isin(pool, np.concatenate([kept, refused]))]
             if pool.size == 0:
                 continue
             order = pool[np.argsort(-state.ledger.residual[pool], kind="stable")]
-            for cand in order:
-                if len(kept) >= self.k_target:
-                    break
-                if d_c > 0.0 and kept:
-                    d = np.linalg.norm(positions[kept] - positions[cand], axis=1)
-                    if np.any(d <= d_c):
-                        continue
-                kept.append(int(cand))
-        return np.asarray(kept, dtype=np.intp)
+            kept, newly_refused = spaced_greedy(
+                state.nodes.positions, order, kept, d_c, limit=self.k_target
+            )
+            refused = np.concatenate([refused, newly_refused])
+        return kept
 
     def _charge_hello(self, state: NetworkState, heads: np.ndarray) -> None:
         """Optional control-plane energy: heads broadcast over d_c,

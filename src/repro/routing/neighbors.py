@@ -112,17 +112,17 @@ def discover(
 
     # Member tables: alive non-head nodes in range whose nearest live
     # head is this head (the hard assignment members actually use).
+    # ``owned`` lists them ascending, ``owner`` their head's position.
     others = np.flatnonzero(state.ledger.alive)
     others = others[~np.isin(others, heads)]
+    owned, owner = others, np.empty(0, dtype=np.intp)
     if others.size:
         md = state.distances_matrix(others, live)
         nearest = md.argmin(axis=1)
         in_range = md[np.arange(others.size), nearest] <= radio_range
-        for j, h in enumerate(live):
-            table.members[int(h)] = others[in_range & (nearest == j)]
-    else:
-        for h in live:
-            table.members[int(h)] = np.empty(0, dtype=np.intp)
+        owned, owner = others[in_range], nearest[in_range]
+    for j, h in enumerate(live):
+        table.members[int(h)] = owned[owner == j]
 
     # Phase 1: HELLO beacons.  Broadcasts are priced at full radio
     # range (the beacon must reach the range edge); every head inside
@@ -163,10 +163,7 @@ def discover(
         nbrs = live[adj[j]]
         table.neighbors[int(h)] = nbrs
         table.bs_reachable[int(h)] = bool(d_bs[j] <= radio_range)
-        if nbrs.size:
-            table.member_networks[int(h)] = np.unique(
-                np.concatenate([table.members[int(n)] for n in nbrs])
-            )
-        else:
-            table.member_networks[int(h)] = np.empty(0, dtype=np.intp)
+        # Every member has one owner, so the union of the neighbors'
+        # member tables is the owned nodes whose owner is a neighbor.
+        table.member_networks[int(h)] = owned[adj[j, owner]]
     return table

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import QLECProtocol
+from repro.network.node import BaseStation, NodeArray
 from repro.routing import NeighborTable, discover
 from repro.simulation.state import NetworkState
 from tests.conftest import make_config
@@ -12,6 +13,32 @@ from tests.conftest import make_config
 
 def make_state(seed=0, **kwargs):
     return NetworkState(make_config(seed=seed, **kwargs))
+
+
+def line_state(xs):
+    """Nodes on the x axis at the given positions (metres)."""
+    pos = np.zeros((len(xs), 3))
+    pos[:, 0] = xs
+    cfg = make_config(n_nodes=len(xs), side=120.0)
+    return NetworkState(cfg, nodes=NodeArray(pos, 0.2), bs=BaseStation((60.0,) * 3))
+
+
+def assert_member_networks_are_unions(table):
+    """member_networks[h] is the np.unique union of the neighbors'
+    member tables, dtype included."""
+    for h in table.heads:
+        h = int(h)
+        want = (
+            np.unique(np.concatenate(
+                [table.members[int(n)] for n in table.neighbors[h]]
+            ))
+            if table.neighbors[h].size
+            else np.empty(0, dtype=np.intp)
+        )
+        got = table.member_networks[h]
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+        assert table.members[h].dtype == np.intp
 
 
 def elect_heads(state):
@@ -104,16 +131,37 @@ class TestDiscovery:
         assert not np.isin(all_members, table.heads).any()
         assert state.ledger.alive[all_members].all()
         # member_networks is the union of the neighbors' member tables.
+        assert_member_networks_are_unions(table)
+
+    def test_neighbors_without_members(self):
+        """Head 1 neighbors head 0 but owns nobody, so head 0's member
+        network is empty although its neighbor list is not; head 2 is
+        isolated."""
+        state = line_state([0.0])  # probe for the radio range
+        r = state.radio.d0
+        # heads 0, 1, 2; member 3 is nearest head 0, member 4 nearest head 2.
+        state = line_state([0.0, 0.5 * r, 10 * r, -0.1 * r, 10.1 * r])
+        table = discover(state, np.array([2, 0, 1]), range_factor=1.0,
+                         hello_bits=256)
+        assert table.neighbors[0].tolist() == [1]
+        assert table.members[1].size == 0
+        assert table.member_networks[0].size == 0
+        assert table.member_networks[1].tolist() == [3]
+        assert table.neighbors[2].size == 0
+        assert table.member_networks[2].size == 0
+        assert table.members[2].tolist() == [4]
+        assert_member_networks_are_unions(table)
+
+    def test_no_alive_non_heads(self):
+        state = make_state(seed=6)
+        heads = elect_heads(state)
+        state.ledger.force_kill(np.setdiff1d(np.arange(state.n), heads))
+        table = discover(state, heads, range_factor=2.0, hello_bits=256)
+        assert table.heads.size == heads.size
+        assert any(v.size for v in table.neighbors.values())
         for h in table.heads:
-            h = int(h)
-            want = (
-                np.unique(np.concatenate(
-                    [table.members[int(n)] for n in table.neighbors[h]]
-                ))
-                if table.neighbors[h].size
-                else np.empty(0, dtype=np.intp)
-            )
-            assert np.array_equal(table.member_networks[h], want)
+            assert table.members[int(h)].size == 0
+        assert_member_networks_are_unions(table)
 
     def test_dead_heads_are_excluded(self):
         state = make_state(seed=7)

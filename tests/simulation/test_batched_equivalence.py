@@ -17,12 +17,15 @@ from repro.checkpoint import CHECKPOINT_SCHEMA, read_checkpoint, write_checkpoin
 from repro.config import (
     DeploymentConfig,
     QueueConfig,
+    RoutingConfig,
     SimulationConfig,
     TrafficConfig,
     paper_config,
 )
 from repro.core import QLECProtocol
 from repro.core.routing import QRouter
+from repro.core.selection import ImprovedDEECSelector
+from repro.datasets import load_power_plants
 from repro.energy.harvesting import HarvestingConfig
 from repro.network.mobility import MobilityConfig
 from repro.simulation.engine import SimulationEngine
@@ -135,6 +138,57 @@ def test_pruned_relay_choice_scalar_equals_batched(monkeypatch, tmp_path):
     path = tmp_path / "run-r00000001.ckpt"
     header = write_checkpoint(interrupted, path)
     assert header["schema"] == CHECKPOINT_SCHEMA == 1
+    _, restored = read_checkpoint(path)
+    resumed = restored.run()
+    assert fingerprint(resumed) == fingerprint(batched)
+    assert resumed.total_energy == batched.total_energy
+
+
+def _plants_engine(batched: bool) -> SimulationEngine:
+    """Fig. 4's regime at 600 clustered plants: k = 120 is far more
+    heads than d_c spacing admits, so promotion walks both pools."""
+    dataset = load_power_plants(None, n_fallback=600, rng=np.random.default_rng(0))
+    nodes, bs, energies = dataset.to_network(side=250.0)
+    cfg = SimulationConfig(
+        deployment=DeploymentConfig(
+            n_nodes=nodes.n, side=250.0,
+            initial_energy=float(energies.mean()), bs_position=tuple(bs.position),
+        ),
+        traffic=TrafficConfig(mean_interarrival=16.0),
+        queue=QueueConfig(),
+        rounds=3,
+        n_clusters=120,
+        seed=4,
+        routing=RoutingConfig(kind="tree"),
+    )
+    return SimulationEngine(cfg, QLECProtocol(), nodes=nodes, bs=bs,
+                            initial_energy=energies, batched=batched)
+
+
+def test_exhausted_promotion_scalar_equals_batched(monkeypatch, tmp_path):
+    short_rounds = set()
+    promote = ImprovedDEECSelector._promote
+
+    def spy(self, state, heads, pools):
+        kept = promote(self, state, heads, pools)
+        if kept.size < self.k_target:  # both pools walked to the end
+            short_rounds.add(state.round_index)
+        return kept
+
+    monkeypatch.setattr(ImprovedDEECSelector, "_promote", spy)
+    batched_engine = _plants_engine(batched=True)
+    batched = batched_engine.run()
+    assert short_rounds == {0, 1, 2}
+
+    scalar = _plants_engine(batched=False).run()
+    assert fingerprint(batched) == fingerprint(scalar)
+    assert batched.packets.latencies == scalar.packets.latencies
+    assert batched.total_energy == scalar.total_energy
+
+    interrupted = _plants_engine(batched=True)
+    interrupted.run_round()
+    path = tmp_path / "run-r00000001.ckpt"
+    write_checkpoint(interrupted, path)
     _, restored = read_checkpoint(path)
     resumed = restored.run()
     assert fingerprint(resumed) == fingerprint(batched)
