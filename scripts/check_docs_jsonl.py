@@ -23,9 +23,13 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.checkpoint import CHECKPOINT_KIND, CHECKPOINT_SCHEMA
-from repro.parallel.scheduler import SCHED_EVENT_KIND
+from repro.parallel.scheduler import (
+    EVENT_FIELDS,
+    EVENT_KEYS,
+    EVENT_LOG_SCHEMA,
+    SWEEP_EVENT_KIND,
+)
 from repro.parallel.sharding import SweepSpec
-from repro.parallel.status import STATUS_KIND, STATUS_SCHEMA
 from repro.simulation.trace import PATH_KIND, RoundTrace
 from repro.telemetry.manifest import (
     MANIFEST_KIND,
@@ -112,35 +116,6 @@ TRACE_SUMMARY_KEYS = {
     "instants_by_name": dict,
 }
 
-#: Required keys of a shard-status heartbeat row.
-STATUS_KEYS = {
-    "kind": str,
-    "schema": int,
-    "spec_fingerprint": str,
-    "shard": int,
-    "num_shards": int,
-    "cells_total": int,
-    "done": int,
-    "failed": int,
-    "retried": int,
-    "resumed": int,
-    "steals": int,
-    "reclaimed": int,
-    "ewma_cell_seconds": (int, float, type(None)),
-    "eta_seconds": (int, float, type(None)),
-    "elapsed_seconds": (int, float),
-    "updated_unix": (int, float),
-    "state": str,
-}
-
-#: Required keys of a scheduler-event sidecar row; the ``event`` value
-#: must be one of the lifecycle verbs the state machine emits.
-SCHED_EVENT_KEYS = {
-    "kind": str,
-    "seq": int,
-    "event": str,
-}
-
 #: Required keys of a per-packet path record (active routing
 #: substrates append one per walked uplink chain).
 PATH_KEYS = {
@@ -175,18 +150,6 @@ RESUME_KEYS = {
     "round_index": int,
     "snapshot": str,
 }
-
-SCHED_EVENTS = (
-    "lease",
-    "steal",
-    "requeue",
-    "reclaim",
-    "complete",
-    "duplicate",
-    "stale-failure",
-    "error",
-    "worker-dead",
-)
 
 FENCE = re.compile(r"^```jsonl\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
@@ -295,36 +258,30 @@ def check_trace_summary(obj: dict, where: str) -> list[str]:
     return errors
 
 
-def check_status_record(obj: dict, where: str) -> list[str]:
-    errors = _check_keys(obj, STATUS_KEYS, "shard-status row", where)
-    if obj.get("schema") != STATUS_SCHEMA:
-        errors.append(
-            f"{where}: shard-status schema {obj.get('schema')} != "
-            f"{STATUS_SCHEMA}"
-        )
-    if obj.get("state") not in ("running", "complete", "draining", "stopped"):
-        errors.append(
-            f"{where}: shard-status state {obj.get('state')!r} must be "
-            "'running', 'complete', 'draining', or 'stopped'"
-        )
-    fp = obj.get("spec_fingerprint", "")
-    if not re.fullmatch(r"[0-9a-f]{16}", fp):
-        errors.append(f"{where}: spec_fingerprint {fp!r} is not 16 hex digits")
-    return errors
-
-
-def check_sched_event(obj: dict, where: str) -> list[str]:
-    errors = _check_keys(obj, SCHED_EVENT_KEYS, "sched-event row", where)
+def check_sweep_event(obj: dict, where: str) -> list[str]:
+    """A ``sweep-event`` line is one event-log record; its keys are
+    the writer's own schema, :data:`repro.parallel.scheduler.EVENT_FIELDS`."""
+    errors = _check_keys(obj, EVENT_KEYS, "sweep-event", where)
     event = obj.get("event")
-    if event not in SCHED_EVENTS:
+    if event not in EVENT_FIELDS:
+        return errors + [
+            f"{where}: sweep-event {event!r} is not an event-log verb "
+            f"(known: {', '.join(EVENT_FIELDS)})"
+        ]
+    errors.extend(_check_keys(obj, EVENT_FIELDS[event], event, where))
+    cid = obj.get("cell_id")
+    if isinstance(cid, str) and not re.fullmatch(r"[0-9a-f]{16}", cid):
+        errors.append(f"{where}: cell_id {cid!r} is not 16 hex digits")
+    if event == "start" and obj.get("schema") != EVENT_LOG_SCHEMA:
         errors.append(
-            f"{where}: sched-event {event!r} is not a scheduler "
-            f"lifecycle verb (known: {', '.join(SCHED_EVENTS)})"
+            f"{where}: event-log schema {obj.get('schema')} != "
+            f"{EVENT_LOG_SCHEMA}"
         )
-    if event in ("lease", "steal", "requeue", "reclaim", "complete", "error"):
-        cid = obj.get("cell_id", "")
-        if not (isinstance(cid, str) and re.fullmatch(r"[0-9a-f]{16}", cid)):
-            errors.append(f"{where}: cell_id {cid!r} is not 16 hex digits")
+    if event == "finish" and obj.get("state") not in ("complete", "stopped"):
+        errors.append(
+            f"{where}: finish state {obj.get('state')!r} must be "
+            "'complete' or 'stopped'"
+        )
     return errors
 
 
@@ -421,10 +378,8 @@ def check_file(path: Path) -> list[str]:
                 errors.extend(_check_keys(obj, INSTANT_KEYS, "instant", where))
             elif kind == TRACE_SUMMARY_KIND:
                 errors.extend(check_trace_summary(obj, where))
-            elif kind == STATUS_KIND:
-                errors.extend(check_status_record(obj, where))
-            elif kind == SCHED_EVENT_KIND:
-                errors.extend(check_sched_event(obj, where))
+            elif kind == SWEEP_EVENT_KIND:
+                errors.extend(check_sweep_event(obj, where))
             elif kind == PATH_KIND:
                 errors.extend(check_path_record(obj, where))
             elif kind == CHECKPOINT_KIND:

@@ -24,9 +24,10 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis.sweep import run_cell, sweep_from_spec
-from repro.parallel.scheduler import run_scheduled
+from repro.parallel.scheduler import fold_events, run_scheduled
 from repro.parallel.sharding import SweepSpec, merge_artifacts
 from repro.telemetry import deterministic_view
+from repro.telemetry.jsonl import read_jsonl_tolerant
 
 SPEC = SweepSpec(
     protocols=("direct",),
@@ -128,8 +129,15 @@ def main(argv: list[str]) -> int:
     err = chaos.errors[0]
     if err["error"]["class"] != "deterministic" or err["attempts"] != 1:
         return fail(f"chaos: deterministic failure re-leased: {err}")
+    # The heal below truncates this log, so fold it now: `repro
+    # status` must report what the killed run itself counted.
+    status = fold_events(read_jsonl_tolerant(chaos.events_path))
+    seen = {k: status[k] for k in ("done", "failed", "reclaimed", "state")}
+    if seen != {"done": len(SPEC), "failed": 1, "reclaimed": 1,
+                "state": "complete"}:
+        return fail(f"chaos: event-log fold disagrees with the run: {seen}")
     print("ok: chaos pass — 1 worker death reclaimed, deterministic "
-          "failure errored on its single grant")
+          "failure errored on its single grant, event log agrees")
 
     # -- heal + resume: recompute only the errored cell ----------------
     os.environ[HEAL_ENV] = "1"

@@ -14,8 +14,7 @@ Commands
 ``scenario``     run one protocol on a named scenario from the catalog
 ``resume``       finish a checkpointed run from an engine snapshot
 ``sweep``        run one shard of a sweep grid into a JSONL artifact
-``serve``        long-running scheduler over a directory of job files
-``status``       render the live progress of sharded sweep invocations
+``status``       fold sweep event logs into a progress view
 ``merge``        fold shard artifacts back into one sweep
 ``report``       run everything and write REPORT.md
 ``version``      package version plus kernel-dependency provenance
@@ -202,23 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_routing_arg(swp)
     _add_checkpoint_args(swp)
 
-    srv = sub.add_parser(
-        "serve",
-        help="long-running sweep scheduler over a directory of job files",
-    )
-    srv.add_argument("jobs_dir", type=str,
-                     help="directory holding *.job.json catalog entries; "
-                          "artifacts land in <dir>/artifacts/")
-    srv.add_argument("--once", action="store_true",
-                     help="drain the current catalog once and exit "
-                          "(instead of polling for new job files forever)")
-    srv.add_argument("--cycles", type=int, default=None, metavar="N",
-                     help="exit after N catalog passes (implies bounded run)")
-    srv.add_argument("--workers", type=int, default=None,
-                     help="override every job's worker count")
-    srv.add_argument("--idle", type=float, default=2.0, metavar="S",
-                     help="sleep between catalog passes")
-
     mrg = sub.add_parser(
         "merge", help="fold shard artifacts back into one sweep"
     )
@@ -295,11 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="rotated snapshots kept while finishing")
 
     stat = sub.add_parser(
-        "status", help="render live progress of sharded sweep invocations"
+        "status", help="fold sweep event logs into a progress view"
     )
     stat.add_argument("paths", type=str, nargs="+",
-                      help="artifact paths, status sidecars, or directories "
-                           "to scan for *.status.jsonl")
+                      help="artifact paths, event logs, or directories "
+                           "to scan for *.events.jsonl")
 
     sub.add_parser("version", help="package and kernel-dependency versions")
 
@@ -690,58 +672,28 @@ def _cmd_sweep(args) -> int:
     return 1 if result.errors else 0
 
 
-def _cmd_serve(args) -> int:
-    from .parallel import drain_on_signals
-    from .parallel.serve import serve_forever, serve_once
-
-    with drain_on_signals() as stop:
-        if args.once or args.cycles is not None:
-            if args.once and args.cycles is None:
-                report = serve_once(
-                    args.jobs_dir, workers=args.workers, stop_requested=stop
-                )
-            else:
-                report = serve_forever(
-                    args.jobs_dir,
-                    workers=args.workers,
-                    idle_seconds=args.idle,
-                    max_cycles=args.cycles,
-                    stop_requested=stop,
-                )
-        else:  # pragma: no cover - unbounded interactive loop
-            report = serve_forever(
-                args.jobs_dir, workers=args.workers, idle_seconds=args.idle,
-                stop_requested=stop,
-            )
-    if stop.requested:
-        print(
-            "drained: in-flight cells landed in their artifacts; "
-            "the next 'repro serve' pass computes exactly the rest"
-        )
-    print(
-        f"serve: {len(report.jobs)} job(s); executed {report.executed}, "
-        f"resumed {report.resumed}, errors {report.errors}; "
-        f"steals {report.steals}, reclaims {report.reclaims}, "
-        f"worker deaths {report.worker_deaths}"
-    )
-    return 1 if report.errors else 0
-
-
 def _cmd_status(args) -> int:
     import time
 
     from .analysis import render_table
-    from .parallel import find_status_files, load_status
+    from .parallel import find_event_logs, fold_events
+    from .telemetry.jsonl import read_jsonl_tolerant
 
-    files = find_status_files(args.paths)
-    if not files:
-        print("error: no status sidecars found", file=sys.stderr)
+    logs = find_event_logs(args.paths)
+    if not logs:
+        print("error: no sweep event logs found", file=sys.stderr)
         return 2
     rows = []
     statuses = []
+    unreadable = 0
     now = time.time()
-    for path in files:
-        st = load_status(path)
+    for path in logs:
+        try:
+            st = fold_events(read_jsonl_tolerant(path))
+        except (OSError, ValueError) as exc:
+            print(f"error: skipping {path}: {exc}", file=sys.stderr)
+            unreadable += 1
+            continue
         statuses.append(st)
         ewma = st["ewma_cell_seconds"]
         eta = st["eta_seconds"]
@@ -756,24 +708,30 @@ def _cmd_status(args) -> int:
             "done": st["done"],
             "failed": st["failed"],
             "retried": st["retried"],
-            "steals": st.get("steals", 0),
-            "reclaimed": st.get("reclaimed", 0),
+            "steals": st["steals"],
+            "reclaimed": st["reclaimed"],
             "total": st["cells_total"],
             "cell_s": "-" if ewma is None else f"{ewma:.2f}",
             "eta_s": "-" if eta is None else f"{eta:.1f}",
+            "elapsed_s": f"{st['elapsed_seconds']:.2f}",
+            "compute_s": f"{st['compute_s']:.2f}",
             "age_s": f"{max(0.0, now - st['updated_unix']):.0f}",
         })
+    if not statuses:
+        return 2
     print(render_table(rows, title="Shard status"))
     done = sum(s["done"] for s in statuses)
     failed = sum(s["failed"] for s in statuses)
     total = sum(s["cells_total"] for s in statuses)
-    fleet_state = (
-        "complete"
-        if all(s["state"] == "complete" for s in statuses)
-        else "running"
-    )
+    states = {s["state"] for s in statuses}
+    if states == {"complete"}:
+        fleet_state = "complete"
+    elif states & {"running", "draining"}:
+        fleet_state = "running"
+    else:
+        fleet_state = "stopped"
     print(f"fleet: {done}/{total} cells done, {failed} failed ({fleet_state})")
-    return 0
+    return 2 if unreadable else 0
 
 
 def _cmd_version(_args) -> int:
@@ -827,7 +785,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "status": _cmd_status,
     "sweep": _cmd_sweep,
-    "serve": _cmd_serve,
     "merge": _cmd_merge,
     "report": _cmd_report,
     "version": _cmd_version,

@@ -32,24 +32,27 @@ Two layers:
 * :func:`_run_grid` — the **sweep driver**, the one body behind
   :func:`run_scheduled` (whole grid, ``shard 0/0`` marker) and
   :func:`~repro.parallel.sharding.run_shard` (one static shard,
-  ``k/K``): resume mining, the atomic rewrite, streamed rows, status,
-  drain.  Cells run in-process for a serial or one-worker static
+  ``k/K``): resume mining, the atomic rewrite, streamed rows, the event
+  log, drain.  Cells run in-process for a serial or one-worker static
   shard; otherwise each worker is a separate ``multiprocessing``
   process fed over a pipe.  A worker death (SIGKILL, OOM) surfaces as
   pipe EOF: the coordinator reclaims its lease, counts a worker death,
   and respawns a replacement, so a chaos-killed fleet heals itself.
 
-Scheduler *events* (lease grants, steals, reclaims, requeues, worker
-deaths, duplicate drops) are appended to an ``<artifact>.events.jsonl``
-sidecar — like the status sidecar, they are per-run ephemera that never
-merge or fingerprint, but they make a chaotic run auditable: the chaos
-tests and the CI determinism gate assert re-lease decisions from them.
+Every invocation of the driver appends one **event log**,
+``<artifact>.events.jsonl``: a ``start`` record, the state machine's
+events (lease grants, steals, completions, errors, reclaims, requeues,
+worker deaths, duplicate drops), a ``drain`` record if one was
+requested, and a terminal ``finish``.  The log is per-run ephemera — it
+never merges, fingerprints or feeds a resume — but ``repro status`` is
+a fold over it (:func:`fold_events`), and the chaos tests assert
+re-lease decisions from it.  :data:`EVENT_FIELDS` is its schema.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -72,18 +75,64 @@ from .sharding import (
     load_artifact,
     partition_cells,
 )
-from .status import ShardStatusWriter
 
 __all__ = [
-    "SCHED_EVENT_KIND",
+    "EVENT_FIELDS",
+    "EVENT_KEYS",
+    "EVENT_LOG_SCHEMA",
+    "SWEEP_EVENT_KIND",
     "Lease",
     "SweepScheduler",
+    "event_log_path",
+    "find_event_logs",
+    "fold_events",
     "run_scheduled",
-    "scheduler_events_path",
 ]
 
-#: Record discriminator of one scheduler-event sidecar row.
-SCHED_EVENT_KIND = "sched-event"
+#: Record discriminator of every event-log line.
+SWEEP_EVENT_KIND = "sweep-event"
+#: Schema version of the event log, stamped on its ``start`` record.
+EVENT_LOG_SCHEMA = 1
+#: Smoothing factor of the per-cell latency EWMA in :func:`fold_events`.
+EWMA_ALPHA = 0.3
+
+_NUM = (int, float)
+#: Keys -> type(s) every event-log record carries: ``seq`` counts the
+#: log's records from 1, ``t`` is monotonic seconds since its start.
+EVENT_KEYS = {"kind": str, "seq": int, "event": str, "t": _NUM}
+_CELL = {"cell_id": str, "worker": str}
+_TERMINAL = {**_CELL, "attempts": int, "compute_s": _NUM}
+#: Required payload keys -> type(s) of each ``event`` verb.  ``grant``
+#: counts lease grants of the cell; ``attempts`` is the artifact row's
+#: in-worker attempt count; ``compute_s`` the wall time the cell's
+#: runner spent on it (0 for a ``LeaseExhausted`` row: no runner
+#: reported).
+EVENT_FIELDS = {
+    "start": {
+        "schema": int,
+        "spec_fingerprint": str,
+        "shard": int,
+        "num_shards": int,
+        "cells_total": int,
+        "resumed": int,
+        "started_unix": _NUM,
+    },
+    "lease": {**_CELL, "grant": int},
+    "steal": {**_CELL, "grant": int},
+    "reclaim": {**_CELL, "grant": int, "reason": str},
+    "requeue": {"cell_id": str, "grant": int, "reason": str},
+    "worker-dead": {
+        "worker": str, "cell_id": (str, type(None)), "reason": str,
+    },
+    "complete": _TERMINAL,
+    "error": {
+        **_TERMINAL, "grant": int, "error_class": str, "error_type": str,
+    },
+    "duplicate": _CELL,
+    "stale-failure": _CELL,
+    "drain": {},
+    "finish": {"state": str},
+}
 
 #: Default lease duration; generous because workers cannot heartbeat
 #: mid-cell (they run the simulation synchronously) — expiry is the
@@ -96,10 +145,88 @@ DEFAULT_LEASE_SECONDS = 300.0
 DEFAULT_MAX_LEASE_ATTEMPTS = 3
 
 
-def scheduler_events_path(artifact_path) -> Path:
-    """The events sidecar for a scheduler artifact (``<name>.events.jsonl``)."""
+def event_log_path(artifact_path) -> Path:
+    """The event log of an artifact (``<name>.events.jsonl``)."""
     p = Path(artifact_path)
     return p.with_name(p.name + ".events.jsonl")
+
+
+def find_event_logs(paths) -> list[Path]:
+    """Resolve ``repro status`` operands to existing event logs.
+
+    A directory contributes every ``*.events.jsonl`` beneath it
+    (sorted), a log contributes itself, and any other path its own log;
+    duplicates are dropped, first mention kept.
+    """
+    found: dict[Path, Path] = {}
+    for raw in paths:
+        p = Path(raw)
+        if p.is_dir():
+            candidates = sorted(p.glob("**/*.events.jsonl"))
+        elif p.name.endswith(".events.jsonl"):
+            candidates = [p]
+        else:
+            candidates = [event_log_path(p)]
+        for log in candidates:
+            if log.exists():
+                found.setdefault(log.resolve(), log)
+    return list(found.values())
+
+
+def fold_events(records) -> dict:
+    """Fold one event log into a status row; a pure function.
+
+    ``records`` are the log's lines in order; the first ``sweep-event``
+    must be the ``start`` record, else ``ValueError``.  ``done`` counts
+    resumed plus finished cells, ``failed`` error rows, ``retried`` rows
+    that took more than one in-worker attempt.  The per-cell latency
+    EWMA runs over the gaps between successive terminal events; the ETA
+    is that EWMA times the cells remaining — ``None`` before the first
+    cell or once the run stopped, ``0.0`` when nothing remains.
+    ``compute_s`` sums the terminal events' compute time; on an
+    in-process run ``elapsed_seconds - compute_s`` is the driver's
+    overhead.
+    """
+    events = [r for r in records if r.get("kind") == SWEEP_EVENT_KIND]
+    if not events or events[0].get("event") != "start":
+        raise ValueError("no 'start' record")
+    start, last = events[0], events[-1]
+    verbs = Counter(e["event"] for e in events)
+    terminal = [e for e in events if e["event"] in ("complete", "error")]
+    ewma: float | None = None
+    t_last = start["t"]
+    for e in terminal:
+        dt, t_last = e["t"] - t_last, e["t"]
+        ewma = dt if ewma is None else ewma + EWMA_ALPHA * (dt - ewma)
+    done = start["resumed"] + len(terminal)
+    if last["event"] == "finish":
+        state = last["state"]
+    else:
+        state = "draining" if verbs["drain"] else "running"
+    remaining = max(0, start["cells_total"] - done)
+    if state == "stopped":
+        eta = None
+    elif state == "complete" or remaining == 0:
+        eta = 0.0
+    else:
+        eta = None if ewma is None else ewma * remaining
+    return {
+        **{k: start[k] for k in (
+            "spec_fingerprint", "shard", "num_shards", "cells_total",
+            "resumed",
+        )},
+        "done": done,
+        "failed": verbs["error"],
+        "retried": sum(e["attempts"] > 1 for e in terminal),
+        "steals": verbs["steal"],
+        "reclaimed": verbs["reclaim"],
+        "compute_s": sum((e["compute_s"] for e in terminal), 0.0),
+        "ewma_cell_seconds": ewma,
+        "eta_seconds": eta,
+        "elapsed_seconds": last["t"],
+        "updated_unix": start["started_unix"] + last["t"],
+        "state": state,
+    }
 
 
 @dataclass(frozen=True)
@@ -109,7 +236,6 @@ class Lease:
     cell_id: str
     worker: str
     attempt: int  # 1-based count of lease grants for this cell
-    granted_at: float
     deadline: float
     stolen: bool = False
 
@@ -196,7 +322,7 @@ class SweepScheduler:
     def _event(self, event: str, **payload) -> dict:
         self._seq += 1
         record = {
-            "kind": SCHED_EVENT_KIND,
+            "kind": SWEEP_EVENT_KIND,
             "seq": self._seq,
             "event": event,
             **payload,
@@ -235,7 +361,6 @@ class SweepScheduler:
             cell_id=cell_id,
             worker=worker,
             attempt=attempt,
-            granted_at=now,
             deadline=now + self.lease_seconds,
             stolen=stolen,
         )
@@ -246,7 +371,7 @@ class SweepScheduler:
             "steal" if stolen else "lease",
             cell_id=cell_id,
             worker=worker,
-            attempt=attempt,
+            grant=attempt,
         )
         return self.cells[cell_id]
 
@@ -318,7 +443,7 @@ class SweepScheduler:
             "reclaim",
             cell_id=lease.cell_id,
             worker=lease.worker,
-            attempt=lease.attempt,
+            grant=lease.attempt,
             reason=reason,
         )
         del self.leases[lease.cell_id]
@@ -332,7 +457,8 @@ class SweepScheduler:
                 "class": "transient",
             }
             self._error(
-                lease.cell_id, lease.worker, error, lease.attempt, lease.attempt
+                lease.cell_id, lease.worker, error, lease.attempt,
+                lease.attempt, compute_s=0.0,
             )
         else:
             self._requeue(lease.cell_id, lease.attempt, reason)
@@ -341,10 +467,16 @@ class SweepScheduler:
         # Back of the cell's home-rank queue: the next claimant is
         # whoever drains (or steals from) that queue first.
         self.queues[self._rank[cell_id] % self.num_queues].append(cell_id)
-        self._event("requeue", cell_id=cell_id, attempt=attempt, reason=reason)
+        self._event("requeue", cell_id=cell_id, grant=attempt, reason=reason)
 
     def _error(
-        self, cell_id: str, worker: str, error: dict, attempts: int, grants: int
+        self,
+        cell_id: str,
+        worker: str,
+        error: dict,
+        attempts: int,
+        grants: int,
+        compute_s: float,
     ) -> dict:
         self._purge(cell_id)
         record = _error_record(self.cells[cell_id], error, attempts)
@@ -353,7 +485,9 @@ class SweepScheduler:
             "error",
             cell_id=cell_id,
             worker=worker,
-            attempt=grants,
+            attempts=attempts,
+            grant=grants,
+            compute_s=compute_s,
             error_class=error.get("class", "transient"),
             error_type=error.get("type", "Exception"),
         )
@@ -372,7 +506,13 @@ class SweepScheduler:
         return False
 
     def complete(
-        self, worker: str, cell_id: str, summary: dict, attempts: int, now: float
+        self,
+        worker: str,
+        cell_id: str,
+        summary: dict,
+        attempts: int,
+        now: float,
+        compute_s: float,
     ) -> dict | None:
         """Accept one cell result; returns the artifact record, or
         ``None`` for a duplicate.
@@ -383,7 +523,8 @@ class SweepScheduler:
         deterministic, so the dropped copy carried the same values.  A
         result from a worker that lost its lease but whose cell is
         still unfinished is *accepted*: the computation is valid
-        regardless of who holds the paper.
+        regardless of who holds the paper.  ``compute_s``, the runner's
+        wall time on the cell, rides on the ``complete`` event.
         """
         if self._duplicate(cell_id, worker):
             return None
@@ -392,12 +533,22 @@ class SweepScheduler:
         record = _cell_record(self.cells[cell_id], summary, attempts)
         self.rows[cell_id] = record
         self._event(
-            "complete", cell_id=cell_id, worker=worker, attempt=attempts
+            "complete",
+            cell_id=cell_id,
+            worker=worker,
+            attempts=attempts,
+            compute_s=compute_s,
         )
         return record
 
     def fail(
-        self, worker: str, cell_id: str, error: dict, attempts: int, now: float
+        self,
+        worker: str,
+        cell_id: str,
+        error: dict,
+        attempts: int,
+        now: float,
+        compute_s: float,
     ) -> dict | None:
         """Record one cell failure; returns an error record iff the
         cell is now finished (deterministic failure or exhausted
@@ -425,7 +576,9 @@ class SweepScheduler:
         del self.leases[cell_id]
         grants = self.attempts.get(cell_id, 1)
         if error.get("class") == "deterministic" or grants >= self.max_lease_attempts:
-            return self._error(cell_id, worker, error, attempts, grants)
+            return self._error(
+                cell_id, worker, error, attempts, grants, compute_s
+            )
         self._requeue(
             cell_id, grants, reason=f"transient-{error.get('type', 'error')}"
         )
@@ -491,6 +644,15 @@ class SweepScheduler:
 # ---------------------------------------------------------------------------
 
 
+def _timed_cell(cell_fn, args: tuple, retries: int, kwargs: dict) -> tuple:
+    """:func:`_guarded_cell`'s ``(status, payload, attempts)`` plus
+    ``compute_s``, its wall time over all attempts — measured where the
+    cell runs, so it excludes spawn, queue wait and artifact writes."""
+    t0 = time.perf_counter()
+    status, payload, attempts = _guarded_cell(cell_fn, args, retries, kwargs)
+    return status, payload, attempts, time.perf_counter() - t0
+
+
 def _worker_main(conn, cell_fn, kwargs: dict, retries: int) -> None:
     """Worker-process loop: recv a cell, run it guarded, send the result."""
     try:
@@ -499,12 +661,39 @@ def _worker_main(conn, cell_fn, kwargs: dict, retries: int) -> None:
             if msg[0] == "stop":
                 return
             _, cell_id, args = msg
-            status, payload, attempts = _guarded_cell(
-                cell_fn, args, retries, kwargs
-            )
-            conn.send((cell_id, status, payload, attempts))
+            conn.send((cell_id, *_timed_cell(cell_fn, args, retries, kwargs)))
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
         return
+
+
+class _EventLog(JsonlWriter):
+    """One invocation's event log: truncated on open, then every record
+    is stamped with the next ``seq`` and ``t`` and flushed as written."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self._t0 = time.monotonic()
+        self._seq = 0
+        self._pumped = 0
+
+    def write(self, event: str, **payload) -> None:
+        self._append({"event": event, **payload})
+
+    def pump(self, scheduler: SweepScheduler) -> None:
+        """Append the machine's events since the previous pump."""
+        for record in scheduler.events[self._pumped:]:
+            self._append(record)
+        self._pumped = len(scheduler.events)
+
+    def _append(self, record: dict) -> None:
+        self._seq += 1
+        self.write_record({
+            **record,
+            "kind": SWEEP_EVENT_KIND,
+            "seq": self._seq,
+            "t": time.monotonic() - self._t0,
+        })
+        self.flush()
 
 
 @dataclass
@@ -610,7 +799,6 @@ def _run_grid(
     checkpoint_keep_last: int,
     stop_requested: Callable[[], bool] | None,
     poll_seconds: float = 0.1,
-    on_progress: Callable | None = None,
     mp_context: str | None = None,
 ) -> ShardRunResult:
     """Run ``cells`` of ``spec`` into one artifact: the shared body of
@@ -623,7 +811,9 @@ def _run_grid(
     the pipe-fed worker fleet (completion order).  A ``scheduled`` run
     keeps its fleet even at one worker — a separate process is what
     survives a worker death — and adds the manifest's ``scheduler``
-    block and the events sidecar.
+    block.  Every invocation writes the event log
+    (:func:`event_log_path`), the machine's events appended right after
+    each machine call.
 
     Drain: ``stop_requested`` is polled after every accepted row and
     while the coordinator waits; once true, no new lease is granted,
@@ -646,74 +836,12 @@ def _run_grid(
         path=out_path,
         cells=cells,
         skipped=sorted(retained),
-        events_path=scheduler_events_path(out_path) if scheduled else None,
+        events_path=event_log_path(out_path),
     )
-    # Live progress goes to a *sidecar*, never the artifact itself (see
-    # repro.parallel.status).
-    progress = ShardStatusWriter(
-        out_path,
-        spec_fingerprint=spec.fingerprint,
-        shard=marker[0],
-        num_shards=marker[1],
-        cells_total=len(cells),
-    )
-
-    progress.start(resumed=len(retained))
-    if not pending and not stale:
-        # Complete artifact: recompute nothing, leave the artifact
-        # byte-untouched — but still refresh the sidecar so `repro
-        # status` reports this (re)invocation as complete.
-        progress.finish()
-        return result
-
-    extra = None
-    if scheduled:
-        extra = {
-            "scheduler": {
-                "workers": workers_n,
-                "lease_seconds": float(lease_seconds),
-                "max_lease_attempts": int(max_lease_attempts),
-                "compression": codec,
-            }
-        }
-    records: list[dict] = [
-        retained[c.cell_id] for c in cells if c.cell_id in retained
-    ]
-    # Newly computed rows append to the rewritten file, keeping the
-    # stream-checkpoint property (on a compressed artifact the append
-    # session is a fresh member/frame, which the concatenation-aware
-    # tolerant reader handles).
-    _write_artifact(out_path, codec, spec, marker, records, extra)
-
-    # One home queue in-process, so rows land in canonical order.
-    scheduler = SweepScheduler(
-        pending,
-        1 if inline else workers_n,
-        lease_seconds=lease_seconds,
-        max_lease_attempts=max_lease_attempts,
-    )
-    # Checkpoint knobs are execution detail, never identity: they hash
-    # into no fingerprint and no cell ID.
-    checkpointing = checkpoint_dir is not None and bool(checkpoint_every)
-    kwargs = dict(
-        spec.cell_kwargs(),
-        checkpoint_every=checkpoint_every if checkpointing else None,
-        checkpoint_dir=str(checkpoint_dir) if checkpointing else None,
-        checkpoint_keep_last=checkpoint_keep_last,
-    )
-    events = JsonlWriter(result.events_path) if scheduled else None
-    events_flushed = 0
     fleet: dict[str, _Worker] = {}
     draining = False
-    fh = JsonlWriter(out_path, compression=codec, append=True)
-
-    def _drain_events() -> None:
-        nonlocal events_flushed
-        if events is not None:
-            for record in scheduler.events[events_flushed:]:
-                events.write_record(record)
-            events_flushed = len(scheduler.events)
-            events.flush()
+    fh = None
+    final_state = None
 
     def _check_drain() -> bool:
         # Latch at most once, so a worker is never handed a new lease
@@ -721,10 +849,10 @@ def _run_grid(
         nonlocal draining
         if not draining and stop_requested is not None and stop_requested():
             draining = True
-            progress.draining()
+            log.write("drain")
         return draining
 
-    def _accept(record: dict, *, error: bool, attempts: int) -> None:
+    def _accept(record: dict, *, error: bool) -> None:
         records.append(record)
         if error:
             result.errors.append(record)
@@ -732,21 +860,15 @@ def _run_grid(
             result.executed.append(record["cell_id"])
         fh.write_line(_dump(record))
         fh.flush()
-        progress.steals = scheduler.steals
-        progress.reclaimed = scheduler.reclaims
-        progress.cell_finished(error=error, attempts=attempts)
-        if on_progress is not None:
-            on_progress(scheduler, result)
         _check_drain()
 
-    def _report(worker: str, cell_id: str, status, payload, attempts) -> None:
+    def _report(worker: str, cell_id, status, payload, attempts, compute_s):
         now = time.monotonic()
-        if status == "ok":
-            record = scheduler.complete(worker, cell_id, payload, attempts, now)
-        else:
-            record = scheduler.fail(worker, cell_id, payload, attempts, now)
+        report = scheduler.complete if status == "ok" else scheduler.fail
+        record = report(worker, cell_id, payload, attempts, now, compute_s)
+        log.pump(scheduler)
         if record is not None:
-            _accept(record, error=status != "ok", attempts=attempts)
+            _accept(record, error=status != "ok")
 
     def _flush_synthetic_errors() -> None:
         """Error rows minted *inside* the state machine (LeaseExhausted
@@ -755,10 +877,11 @@ def _run_grid(
         recorded = {r["cell_id"] for r in result.errors}
         for cell_id, record in scheduler.errors.items():
             if cell_id not in recorded:
-                _accept(record, error=True, attempts=record["attempts"])
+                _accept(record, error=True)
 
     def _assign(worker: _Worker) -> None:
         cell = scheduler.acquire(worker.name, worker.index, time.monotonic())
+        log.pump(scheduler)
         if cell is None:
             return
         try:
@@ -771,6 +894,7 @@ def _run_grid(
     def _bury(worker: _Worker, reason: str) -> None:
         result.worker_deaths += 1
         scheduler.worker_lost(worker.name, time.monotonic(), reason=reason)
+        log.pump(scheduler)
         _flush_synthetic_errors()
         try:
             worker.conn.close()
@@ -787,14 +911,66 @@ def _run_grid(
             )
             _assign(fleet[name])
 
+    log = _EventLog(result.events_path)
     try:
+        log.write(
+            "start",
+            schema=EVENT_LOG_SCHEMA,
+            spec_fingerprint=spec.fingerprint,
+            shard=marker[0],
+            num_shards=marker[1],
+            cells_total=len(cells),
+            resumed=len(retained),
+            started_unix=time.time(),
+        )
+        if not pending and not stale:
+            # Complete artifact: recompute nothing and leave it
+            # byte-untouched; the log still records this invocation.
+            final_state = "complete"
+            return result
+        extra = None
+        if scheduled:
+            extra = {
+                "scheduler": {
+                    "workers": workers_n,
+                    "lease_seconds": float(lease_seconds),
+                    "max_lease_attempts": int(max_lease_attempts),
+                    "compression": codec,
+                }
+            }
+        records: list[dict] = [
+            retained[c.cell_id] for c in cells if c.cell_id in retained
+        ]
+        # Newly computed rows append to the rewritten file, keeping the
+        # stream-checkpoint property (on a compressed artifact the
+        # append session is a fresh member/frame, which the
+        # concatenation-aware tolerant reader handles).
+        _write_artifact(out_path, codec, spec, marker, records, extra)
+        # One home queue in-process, so rows land in canonical order.
+        scheduler = SweepScheduler(
+            pending,
+            1 if inline else workers_n,
+            lease_seconds=lease_seconds,
+            max_lease_attempts=max_lease_attempts,
+        )
+        # Checkpoint knobs are execution detail, never identity: they
+        # hash into no fingerprint and no cell ID.
+        checkpointing = checkpoint_dir is not None and bool(checkpoint_every)
+        kwargs = dict(
+            spec.cell_kwargs(),
+            checkpoint_every=checkpoint_every if checkpointing else None,
+            checkpoint_dir=str(checkpoint_dir) if checkpointing else None,
+            checkpoint_keep_last=checkpoint_keep_last,
+        )
+        fh = JsonlWriter(out_path, compression=codec, append=True)
         if inline:
             while not scheduler.finished and not draining:
                 cell = scheduler.acquire("w0", 0, time.monotonic())
+                log.pump(scheduler)
                 _report(
                     "w0",
                     cell.cell_id,
-                    *_guarded_cell(
+                    *_timed_cell(
                         cell_fn, (cell.protocol, cell.lam, cell.seed),
                         retries, kwargs,
                     ),
@@ -811,7 +987,6 @@ def _run_grid(
             for worker in list(fleet.values()):
                 _assign(worker)
             while not scheduler.finished:
-                _drain_events()
                 if _check_drain() and not scheduler.leases:
                     break
                 conns = {w.conn: w for w in fleet.values()}
@@ -819,21 +994,21 @@ def _run_grid(
                 for conn in ready:
                     worker = conns[conn]
                     try:
-                        cell_id, status, payload, attempts = conn.recv()
+                        message = conn.recv()
                     except (EOFError, OSError):
                         _bury(worker, reason="worker-died")
                         continue
-                    _report(worker.name, cell_id, status, payload, attempts)
+                    _report(worker.name, *message)
                     if not draining:
                         _assign(worker)
                 scheduler.reclaim_expired(time.monotonic())
+                log.pump(scheduler)
                 _flush_synthetic_errors()
                 # Reclaimed / requeued cells may have idled workers waiting.
                 if not draining:
                     for worker in list(fleet.values()):
                         if scheduler.lease_of(worker.name) is None:
                             _assign(worker)
-        _drain_events()
         # A drained run skips the trailer on purpose: the artifact is
         # left non-canonical, so the next resume rewrites it and
         # computes exactly the missing cells.
@@ -846,23 +1021,19 @@ def _run_grid(
             fh.write_line(
                 _dump({"kind": SHARD_TELEMETRY_KIND, "snapshot": merged})
             )
+        final_state = "complete" if scheduler.finished else "stopped"
     finally:
-        fh.close()
+        if fh is not None:
+            fh.close()
         for worker in list(fleet.values()):
             worker.stop()
-        if events is not None:
-            _drain_events()
-            events.close()
+        if final_state is not None:
+            log.write("finish", state=final_state)
+        log.close()
 
     result.steals = scheduler.steals
     result.reclaims = scheduler.reclaims
     result.duplicates = scheduler.duplicates
-    progress.steals = scheduler.steals
-    progress.reclaimed = scheduler.reclaims
-    if draining and not scheduler.finished:
-        progress.stopped()
-    else:
-        progress.finish()
     return result
 
 
@@ -878,7 +1049,6 @@ def run_scheduled(
     max_lease_attempts: int = DEFAULT_MAX_LEASE_ATTEMPTS,
     compression: str | None = None,
     poll_seconds: float = 0.1,
-    on_progress: Callable | None = None,
     mp_context: str | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir=None,
@@ -887,14 +1057,12 @@ def run_scheduled(
 ) -> ShardRunResult:
     """Run a whole sweep grid under the work-stealing scheduler.
 
-    Same sweep driver, artifact schema, resume, drain, ``cell_fn``,
-    ``compression`` and checkpointing as
+    Same sweep driver, artifact schema, resume, drain, event log,
+    ``cell_fn``, ``compression`` and checkpointing as
     :func:`~repro.parallel.sharding.run_shard`, under the reserved
     whole-grid ``shard 0/0`` marker plus a ``scheduler`` provenance
     block, so ``merge_artifacts`` / ``repro merge`` / ``repro fig3
-    --from-artifacts`` consume it unchanged.  ``on_progress(scheduler,
-    result)`` is called after every accepted record — the serve loop
-    uses it to publish partial sweeps.
+    --from-artifacts`` consume it unchanged.
 
     Cells always run on a worker fleet, even with one worker.  Worker
     deaths (pipe EOF) reclaim the dead worker's lease and respawn a
@@ -923,6 +1091,5 @@ def run_scheduled(
         checkpoint_keep_last=checkpoint_keep_last,
         stop_requested=stop_requested,
         poll_seconds=poll_seconds,
-        on_progress=on_progress,
         mp_context=mp_context,
     )

@@ -497,7 +497,7 @@ class ShardRunResult:
     reclaims: int = 0
     duplicates: int = 0
     worker_deaths: int = 0
-    #: The scheduler-events sidecar (scheduled runs only).
+    #: This invocation's event log (``<artifact>.events.jsonl``).
     events_path: Path | None = None
 
     @property
@@ -652,8 +652,9 @@ def run_shard(
         Zero-argument drain predicate polled at every cell boundary
         (wire a :class:`repro.parallel.signals.DrainFlag` latched by
         SIGTERM/SIGINT).  Once it returns True no further cell starts,
-        the status sidecar ends ``stopped`` and the telemetry trailer
-        is skipped, so a later resume picks up the missing cells.
+        the event log records ``drain`` and ends ``stopped``, and the
+        telemetry trailer is skipped, so a later resume picks up the
+        missing cells.
     """
     if not 1 <= shard <= num_shards:
         raise ValueError(f"shard {shard}/{num_shards} out of range")

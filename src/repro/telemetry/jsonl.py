@@ -1,7 +1,7 @@
 """Compressed, torn-tail-tolerant JSONL: the one reader all artifacts share.
 
 Every durable artifact in this repo — shard artifacts, trace dumps,
-status sidecars — is JSONL written append-and-flush, so a crash leaves
+sweep event logs — is JSONL written append-and-flush, so a crash leaves
 at most one partial trailing line.  Before this module each reader
 re-implemented the same tolerance inline; now they share one
 primitive, and it additionally understands *compressed* streams:

@@ -2,7 +2,7 @@
 
 Covers the run_cell resume contract (tag derivation, telemetry
 carry-over, the resume sidecar), graceful drain of run_shard /
-run_scheduled / serve_once, and the chaos headline: a SIGKILLed
+run_scheduled, and the chaos headline: a SIGKILLed
 scheduler worker whose lease is reclaimed resumes the cell from its
 snapshot and re-executes only the rounds after it.
 """
@@ -12,25 +12,24 @@ import json
 import os
 import signal
 
-import pytest
-
 from repro.analysis.sweep import PROTOCOLS, run_cell
-from repro.checkpoint import CheckpointWriter, snapshot_paths
+from repro.checkpoint import CheckpointWriter
 from repro.config import RoutingConfig, paper_config
 from repro.kernels import resolve_backend_name
 from repro.parallel import (
     DrainFlag,
     SweepSpec,
+    fold_events,
     load_artifact,
-    load_status,
     run_scheduled,
     run_shard,
-    shard_status_path,
 )
 from repro.simulation import SimulationEngine
 from repro.telemetry import Telemetry
+from repro.telemetry.jsonl import read_jsonl_tolerant
 from repro.telemetry.manifest import config_fingerprint
 from repro.telemetry.registry import deterministic_view
+from tests.conftest import assert_fold_matches
 
 #: Directory holding the kill-once marker of the chaos test (workers
 #: inherit the environment, so the path crosses the fork/spawn).
@@ -142,7 +141,7 @@ class TestRunShardDrain:
             spec, 1, 1, out, serial=True, stop_requested=lambda: True
         )
         assert 1 <= len(result.executed) < len(spec)
-        assert load_status(shard_status_path(out))["state"] == "stopped"
+        assert assert_fold_matches(result)["state"] == "stopped"
 
         # Reference artifact from an uninterrupted run.
         ref = tmp_path / "ref.jsonl"
@@ -151,7 +150,7 @@ class TestRunShardDrain:
         resumed = run_shard(spec, 1, 1, out, serial=True)
         assert len(resumed.skipped) == len(result.executed)
         assert len(resumed.executed) == len(spec) - len(result.executed)
-        assert load_status(shard_status_path(out))["state"] == "complete"
+        assert assert_fold_matches(resumed)["state"] == "complete"
         rows = [r["summary"] for r in load_artifact(out).records
                 if r.get("kind") == "cell"]
         ref_rows = [r["summary"] for r in load_artifact(ref).records
@@ -166,10 +165,9 @@ class TestRunShardDrain:
             stop_requested=flag,
         )
         assert len(result.executed) == len(spec)
-        assert (
-            load_status(shard_status_path(tmp_path / "s.jsonl"))["state"]
-            == "complete"
-        )
+        assert assert_fold_matches(result)["state"] == "complete"
+        events = read_jsonl_tolerant(result.events_path)
+        assert "drain" not in [e["event"] for e in events]
 
 
 def _kill_once_cell(*args, **kwargs):
@@ -224,83 +222,43 @@ class TestSchedulerSnapshotReclaim:
         out = tmp_path / "sched.jsonl"
         flag = DrainFlag()
 
-        def latch(scheduler, result):
-            flag.request()
+        def first_row_latches() -> bool:
+            # Latch once the artifact holds its first cell row.
+            if not flag.requested and out.exists() and any(
+                r.get("kind") == "cell" for r in read_jsonl_tolerant(out)
+            ):
+                flag.request()
+            return flag()
 
         drained = run_scheduled(
-            spec, out, num_workers=2, on_progress=latch, stop_requested=flag
+            spec, out, num_workers=2, stop_requested=first_row_latches
         )
-        assert len(drained.executed) < len(spec)
-        assert load_status(shard_status_path(out))["state"] == "stopped"
+        assert 1 <= len(drained.executed) < len(spec)
+        assert assert_fold_matches(drained)["state"] == "stopped"
 
         finished = run_scheduled(spec, out, num_workers=2)
         assert len(finished.skipped) == len(drained.executed)
         assert len(finished.executed) == len(spec) - len(drained.executed)
-        assert load_status(shard_status_path(out))["state"] == "complete"
-
-
-class TestServeDrain:
-    def _write_job(self, jobs_dir, name="j1", checkpoint_every=None):
-        spec = SweepSpec(protocols=("qlec", "leach"), lambdas=(4.0,),
-                         seeds=(0,), rounds=2)
-        payload = {"spec": spec.to_payload(), "workers": 1}
-        if checkpoint_every:
-            payload["checkpoint_every"] = checkpoint_every
-        (jobs_dir / f"{name}.job.json").write_text(json.dumps(payload))
-        return spec
-
-    def test_drained_serve_publishes_stopped_then_finishes(self, tmp_path):
-        from repro.parallel.serve import serve_once, serve_status_path
-
-        spec = self._write_job(tmp_path, checkpoint_every=1)
-        flag = DrainFlag()
-
-        def latch(job, scheduler, result):
-            flag.request()
-
-        report = serve_once(tmp_path, stop_requested=flag, on_progress=latch)
-        status = json.loads(serve_status_path(tmp_path).read_text())
-        assert status["state"] == "stopped"
-        assert report.executed < len(spec)
-        # Checkpointing jobs snapshot under <dir>/checkpoints/<name>/.
-        assert (tmp_path / "checkpoints" / "j1").is_dir()
-
-        report2 = serve_once(tmp_path)
-        status2 = json.loads(serve_status_path(tmp_path).read_text())
-        assert status2["state"] == "idle"
-        assert [j["state"] for j in status2["jobs"]] == ["complete"]
-        assert report2.executed + report2.resumed == len(spec)
-
-    def test_pre_latched_flag_runs_nothing(self, tmp_path):
-        from repro.parallel.serve import serve_once, serve_status_path
-
-        self._write_job(tmp_path)
-        flag = DrainFlag()
-        flag.request(signal.SIGTERM)
-        report = serve_once(tmp_path, stop_requested=flag)
-        assert report.executed == 0
-        status = json.loads(serve_status_path(tmp_path).read_text())
-        assert status["state"] == "stopped"
+        assert assert_fold_matches(finished)["state"] == "complete"
 
 
 class TestStatusStates:
     def test_draining_and_stopped_rows(self, tmp_path):
-        from repro.parallel import ShardStatusWriter
-
-        writer = ShardStatusWriter(
-            tmp_path / "a.jsonl", spec_fingerprint="f" * 16,
-            shard=1, num_shards=1, cells_total=4,
+        spec = SweepSpec(**TestRunShardDrain.SPEC)
+        result = run_shard(
+            spec, 1, 1, tmp_path / "a.jsonl", serial=True,
+            stop_requested=lambda: True,
         )
-        writer.start()
-        writer.cell_finished()
-        writer.draining()
-        assert load_status(shard_status_path(tmp_path / "a.jsonl"))[
-            "state"
-        ] == "draining"
-        writer.stopped()
-        last = load_status(shard_status_path(tmp_path / "a.jsonl"))
+        events = read_jsonl_tolerant(result.events_path)
+        verbs = [e["event"] for e in events]
+        assert verbs[-2:] == ["drain", "finish"]
+        # What `repro status` shows while the drain is in flight, then
+        # once the run ended.
+        draining = fold_events(events[:-1])
+        assert draining["state"] == "draining"
+        last = fold_events(events)
         assert last["state"] == "stopped"
-        assert last["done"] == 1  # progress survives into the terminal row
+        assert last["done"] == len(result.executed)  # progress survives
 
 
 class TestDrainSignals:

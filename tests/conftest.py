@@ -56,3 +56,30 @@ def small_state(small_config) -> NetworkState:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+def assert_fold_matches(result) -> dict:
+    """Fold ``result``'s event log and check it against the counters of
+    the run's ``ShardRunResult``; returns the folded status row."""
+    from repro.parallel import fold_events, load_artifact
+    from repro.telemetry.jsonl import read_jsonl_tolerant
+
+    rows = {
+        r["cell_id"]: r
+        for r in load_artifact(result.path).records
+        if "cell_id" in r
+    }
+    fresh = [rows[c] for c in result.executed] + result.errors
+    done = len(result.skipped) + len(fresh)
+    expected = {
+        "done": done,
+        "failed": len(result.errors),
+        "retried": sum(r["attempts"] > 1 for r in fresh),
+        "resumed": len(result.skipped),
+        "steals": result.steals,
+        "reclaimed": result.reclaims,
+        "state": "complete" if done == len(result.cells) else "stopped",
+    }
+    status = fold_events(read_jsonl_tolerant(result.events_path))
+    assert {k: status[k] for k in expected} == expected
+    return status

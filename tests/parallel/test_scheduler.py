@@ -11,14 +11,15 @@ interleavings in ``test_scheduler_properties.py``.
 import pytest
 
 from repro.parallel.scheduler import (
-    SCHED_EVENT_KIND,
+    EVENT_FIELDS,
+    EVENT_KEYS,
+    SWEEP_EVENT_KIND,
     SweepScheduler,
+    event_log_path,
     run_scheduled,
-    scheduler_events_path,
 )
 from repro.parallel.sharding import (
     CELL_ERROR_KIND,
-    CELL_KIND,
     SweepCell,
     SweepSpec,
     load_artifact,
@@ -40,7 +41,7 @@ def drain(sched: SweepScheduler, worker="w0", index=0, now=0.0):
         cell = sched.acquire(worker, index, now)
         if cell is None:
             return
-        sched.complete(worker, cell.cell_id, {"v": cell.seed}, 1, now)
+        sched.complete(worker, cell.cell_id, {"v": cell.seed}, 1, now, 0.0)
 
 
 class TestConstruction:
@@ -84,7 +85,7 @@ class TestLeaseLifecycle:
         sched = SweepScheduler(make_cells(1), 1)
         cell = sched.acquire("w0", 0, 0.0)
         assert sched.acquire("w1", 0, 0.0) is None  # only cell is leased
-        sched.complete("w0", cell.cell_id, {}, 1, 0.0)
+        sched.complete("w0", cell.cell_id, {}, 1, 0.0, 0.0)
         assert sched.acquire("w1", 0, 0.0) is None  # grid finished
 
     def test_steal_takes_from_back_of_longest_queue(self):
@@ -95,7 +96,7 @@ class TestLeaseLifecycle:
         for expected_id in home:
             cell = sched.acquire("w0", 0, 0.0)
             assert cell.cell_id == expected_id
-            sched.complete("w0", cell.cell_id, {}, 1, 0.0)
+            sched.complete("w0", cell.cell_id, {}, 1, 0.0, 0.0)
         # ...then lease one cell off queue 1 so queue 2 is strictly
         # longest: the steal must take queue 2's *back* element.
         sched.acquire("w1", 1, 0.0)
@@ -121,7 +122,7 @@ class TestFailures:
         record = sched.fail(
             "w0", cell.cell_id,
             {"type": "ValueError", "message": "bad", "class": "deterministic"},
-            1, 0.0,
+            1, 0.0, 0.0,
         )
         assert record is not None
         assert record["kind"] == CELL_ERROR_KIND
@@ -135,10 +136,10 @@ class TestFailures:
         for attempt in (1, 2):
             cell = sched.acquire("w0", 0, 0.0)
             assert sched.leases[cell.cell_id].attempt == attempt
-            assert sched.fail("w0", cell.cell_id, err, 1, 0.0) is None
+            assert sched.fail("w0", cell.cell_id, err, 1, 0.0, 0.0) is None
             sched.check_invariants()
         cell = sched.acquire("w0", 0, 0.0)
-        record = sched.fail("w0", cell.cell_id, err, 1, 0.0)
+        record = sched.fail("w0", cell.cell_id, err, 1, 0.0, 0.0)
         assert record is not None and sched.finished
         requeues = [e for e in sched.events if e["event"] == "requeue"]
         assert len(requeues) == 2
@@ -150,7 +151,7 @@ class TestFailures:
         cell = sched.acquire("w0", 0, 0.0)
         assert sched.reclaim_expired(2.0) == [cell.cell_id]
         err = {"type": "OSError", "message": "late", "class": "transient"}
-        assert sched.fail("w0", cell.cell_id, err, 1, 2.5) is None
+        assert sched.fail("w0", cell.cell_id, err, 1, 2.5, 0.0) is None
         assert [e["event"] for e in sched.events if e["event"] == (
             "stale-failure"
         )] == ["stale-failure"]
@@ -163,9 +164,9 @@ class TestFailures:
     def test_unknown_cell_rejected(self):
         sched = SweepScheduler(make_cells(1), 1)
         with pytest.raises(ValueError, match="unknown cell"):
-            sched.complete("w0", "f" * 16, {}, 1, 0.0)
+            sched.complete("w0", "f" * 16, {}, 1, 0.0, 0.0)
         with pytest.raises(ValueError, match="unknown cell"):
-            sched.fail("w0", "f" * 16, {}, 1, 0.0)
+            sched.fail("w0", "f" * 16, {}, 1, 0.0, 0.0)
 
 
 class TestReclaim:
@@ -180,7 +181,7 @@ class TestReclaim:
         ids = set()
         while (got := sched.acquire("w1", 0, 2.0)) is not None:
             ids.add(got.cell_id)
-            sched.complete("w1", got.cell_id, {}, 1, 2.0)
+            sched.complete("w1", got.cell_id, {}, 1, 2.0, 0.0)
         assert cell.cell_id in ids and sched.finished
 
     def test_worker_lost_without_lease_is_recorded_only(self):
@@ -209,8 +210,8 @@ class TestReclaim:
         sched.reclaim_expired(2.0)
         again = sched.acquire("w1", 1, 2.0)
         assert again.cell_id == cell.cell_id
-        assert sched.complete("w0", cell.cell_id, {"v": 1}, 1, 2.5) is not None
-        assert sched.complete("w1", cell.cell_id, {"v": 1}, 1, 3.0) is None
+        assert sched.complete("w0", cell.cell_id, {"v": 1}, 1, 2.5, 0.0) is not None
+        assert sched.complete("w1", cell.cell_id, {"v": 1}, 1, 3.0, 0.0) is None
         assert sched.duplicates == 1
         assert len(sched.rows) == 1
         sched.check_invariants()
@@ -223,7 +224,7 @@ class TestPartialSweep:
         # Finish cells in scrambled order; the partial merge must still
         # come back in grid-enumeration order.
         for i in (2, 0, 3, 1):
-            sched.complete("w0", cells[i].cell_id, {"seed": i}, 1, 0.0)
+            sched.complete("w0", cells[i].cell_id, {"seed": i}, 1, 0.0, 0.0)
         rows, errors, missing = sched.partial_sweep()
         assert [r["seed"] for r in rows] == [0, 1, 2, 3]
         assert not errors and not missing
@@ -232,7 +233,7 @@ class TestPartialSweep:
         cells = make_cells(3)
         sched = SweepScheduler(cells, 1)
         got = sched.acquire("w0", 0, 0.0)
-        sched.complete("w0", got.cell_id, {}, 1, 0.0)
+        sched.complete("w0", got.cell_id, {}, 1, 0.0, 0.0)
         rows, errors, missing = sched.partial_sweep()
         assert len(rows) == 1 and len(missing) == 2
 
@@ -273,12 +274,19 @@ class TestRunScheduled:
     def test_events_sidecar_is_schema_clean(self, tmp_path):
         out = tmp_path / "sched.jsonl"
         run_scheduled(SPEC, out, num_workers=2, poll_seconds=0.02)
-        events = read_jsonl_tolerant(scheduler_events_path(out))
+        events = read_jsonl_tolerant(event_log_path(out))
         assert events, "no scheduler events recorded"
-        assert all(e["kind"] == SCHED_EVENT_KIND for e in events)
+        assert all(e["kind"] == SWEEP_EVENT_KIND for e in events)
         assert [e["seq"] for e in events] == list(
             range(1, len(events) + 1)
         )
+        # Every record carries exactly its schema's keys, and ``t``
+        # never runs backwards.
+        for e in events:
+            assert set(e) == set(EVENT_KEYS) | set(EVENT_FIELDS[e["event"]])
+        assert [e["t"] for e in events] == sorted(e["t"] for e in events)
+        assert events[0]["event"] == "start"
+        assert events[-1] == {**events[-1], "event": "finish", "state": "complete"}
         completes = [e for e in events if e["event"] == "complete"]
         assert len(completes) == len(SPEC)
 

@@ -14,10 +14,7 @@ import signal
 from pathlib import Path
 
 from repro.analysis.sweep import run_cell, sweep_from_spec
-from repro.parallel.scheduler import (
-    run_scheduled,
-    scheduler_events_path,
-)
+from repro.parallel.scheduler import event_log_path, run_scheduled
 from repro.parallel.sharding import (
     CELL_ERROR_KIND,
     SweepSpec,
@@ -27,6 +24,7 @@ from repro.parallel.sharding import (
 )
 from repro.telemetry import deterministic_view
 from repro.telemetry.jsonl import read_jsonl_tolerant
+from tests.conftest import assert_fold_matches
 
 SPEC = SweepSpec(
     protocols=("direct",),
@@ -96,14 +94,24 @@ class TestSigkillMidCell:
         assert ids.count(killed_id) == 1
 
         # The event log tells the full story for the killed cell:
-        # lease -> worker-dead -> reclaim -> requeue -> ... -> complete.
-        events = read_jsonl_tolerant(scheduler_events_path(out))
+        # lease -> worker-dead -> reclaim -> requeue -> ... -> complete,
+        # between the run's start and finish records.
+        events = read_jsonl_tolerant(event_log_path(out))
+        assert events[0]["event"] == "start"
+        assert events[-1]["event"] == "finish"
         story = [
             e["event"] for e in events if e.get("cell_id") == killed_id
         ]
+        assert story[0] in ("lease", "steal")
         assert story.count("complete") == 1
-        assert "reclaim" in story and "requeue" in story
-        assert any(e["event"] == "worker-dead" for e in events)
+        order = [
+            story.index(v)
+            for v in ("worker-dead", "reclaim", "requeue", "complete")
+        ]
+        assert order == sorted(order)
+        # `repro status` folds the same log to the run's own counters.
+        status = assert_fold_matches(result)
+        assert (status["reclaimed"], status["state"]) == (1, "complete")
 
     def test_chaos_artifact_equals_clean_run(self, tmp_path, monkeypatch):
         """A worker death must not perturb the artifact contents: the
@@ -148,7 +156,7 @@ class TestDeterministicFailure:
         assert record["attempts"] == 1
 
         failed_id = _cell_ids_by_seed(SPEC)[(CHAOS_LAMBDA, FAIL_SEED)]
-        events = read_jsonl_tolerant(scheduler_events_path(out))
+        events = read_jsonl_tolerant(event_log_path(out))
         story = [
             e["event"] for e in events if e.get("cell_id") == failed_id
         ]

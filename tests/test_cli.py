@@ -249,7 +249,68 @@ class TestStatusCommand:
 
     def test_status_no_sidecars_exits_2(self, tmp_path, capsys):
         assert main(["status", str(tmp_path)]) == 2
-        assert "no status sidecars" in capsys.readouterr().err
+        assert "no sweep event logs" in capsys.readouterr().err
+
+    def test_unreadable_log_is_named_and_others_still_render(
+        self, tmp_path, capsys
+    ):
+        # A log with no readable start record (here: an empty file)
+        # costs one stderr line naming it, not the whole view.
+        out = tmp_path / "s.jsonl"
+        assert main(
+            ["sweep", *self.GRID, "--shard", "1/1", "--out", str(out)]
+        ) == 0
+        empty = tmp_path / "x.jsonl.events.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        assert main(["status", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert str(empty) in captured.err
+        assert "fleet: 4/4 cells done, 0 failed (complete)" in captured.out
+
+    def test_stopped_run_renders_stopped_fleet_and_no_eta(
+        self, tmp_path, capsys
+    ):
+        from repro.parallel import SweepSpec, run_shard
+
+        spec = SweepSpec(
+            protocols=("direct",), lambdas=(4.0, 8.0), seeds=(0, 1), rounds=2
+        )
+        out = tmp_path / "s.jsonl"
+        run_shard(spec, 1, 1, out, serial=True, stop_requested=lambda: True)
+        capsys.readouterr()
+        assert main(["status", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = [c.strip() for c in lines[1].split("|")]
+        row = dict(zip(header, (c.strip() for c in lines[3].split("|"))))
+        assert (row["shard"], row["state"]) == ("1/1", "stopped")
+        assert row["eta_s"] == "-"
+        assert lines[-1] == "fleet: 1/4 cells done, 0 failed (stopped)"
+
+    def test_fleet_state_complete_running_stopped(self, tmp_path, capsys):
+        from repro.parallel import SweepSpec, run_shard
+
+        spec = SweepSpec(
+            protocols=("direct",), lambdas=(4.0, 8.0), seeds=(0, 1), rounds=2
+        )
+        done = run_shard(spec, 1, 2, tmp_path / "a.jsonl", serial=True)
+        run_shard(
+            spec, 2, 2, tmp_path / "b.jsonl", serial=True,
+            stop_requested=lambda: True,
+        )
+
+        def fleet_line():
+            capsys.readouterr()
+            assert main(["status", str(tmp_path)]) == 0
+            return capsys.readouterr().out.splitlines()[-1]
+
+        # Complete beside stopped: nothing runs any more.
+        assert fleet_line().endswith("(stopped)")
+        # A run with no finish record yet makes the whole fleet running.
+        start = done.events_path.read_text().splitlines()[0]
+        (tmp_path / "c.jsonl.events.jsonl").write_text(start + "\n")
+        assert fleet_line().endswith("(running)")
 
 
 class TestScenarioTrace:
@@ -334,44 +395,6 @@ class TestSchedulerCli:
         )
         assert rc == 2
         assert "zstandard" in capsys.readouterr().err
-
-
-class TestServeCli:
-    def _write_job(self, jobs_dir, name, **options):
-        import json
-
-        from repro.parallel.sharding import SweepSpec
-
-        spec = SweepSpec(
-            protocols=("direct",), lambdas=(4.0, 8.0), seeds=(0, 1),
-            rounds=2,
-        )
-        jobs_dir.mkdir(parents=True, exist_ok=True)
-        (jobs_dir / f"{name}.job.json").write_text(
-            json.dumps({"spec": spec.to_payload(), **options})
-        )
-
-    def test_serve_once_runs_catalog(self, tmp_path, capsys):
-        self._write_job(tmp_path, "tiny", compression="gz")
-        assert main(["serve", str(tmp_path), "--once", "--workers", "1"]) == 0
-        stdout = capsys.readouterr().out
-        assert "serve: 1 job(s)" in stdout
-        assert "executed 4" in stdout
-        artifact = tmp_path / "artifacts" / "tiny.jsonl.gz"
-        assert artifact.exists()
-        # The serve directory is a normal fleet for the other commands.
-        capsys.readouterr()
-        assert main(["merge", str(artifact), "--strict"]) == 0
-        assert main(["status", str(tmp_path)]) == 0
-
-    def test_serve_cycles_resume_idempotently(self, tmp_path, capsys):
-        self._write_job(tmp_path, "tiny")
-        assert main(
-            ["serve", str(tmp_path), "--cycles", "2", "--idle", "0",
-             "--workers", "1"]
-        ) == 0
-        # The report covers the LAST cycle: a pure resume.
-        assert "executed 0, resumed 4" in capsys.readouterr().out
 
 
 class TestStatusUnderScheduler:
