@@ -122,7 +122,7 @@ def run_cell(
     ``checkpoint_every`` + ``checkpoint_dir`` make the cell
     *preemptible*: the engine snapshots its complete state every N
     rounds under a tag derived from the cell identity, and a rerun of
-    the same cell (a reclaimed scheduler lease, a retried shard)
+    the same cell (requeued from a lost worker, a retried shard)
     restores the newest valid snapshot and re-executes only the rounds
     after it — bit-identical to an uninterrupted run.  Checkpoint
     knobs are execution detail, never identity: they hash into no

@@ -3,7 +3,7 @@
 See :mod:`repro.checkpoint.snapshot` for the format and the
 resume-identity guarantee, and ``docs/checkpointing.md`` for the
 operational story (rotation, degradation, graceful drain, and the
-scheduler's snapshot-aware lease reclaim).
+fleet's snapshot-aware requeue of a lost worker's cell).
 """
 
 from .snapshot import (

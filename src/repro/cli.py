@@ -173,23 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="recompute every cell even if the artifact "
                           "already has matching rows")
     swp.add_argument("--retries", type=int, default=1,
-                     help="extra in-worker attempts before a cell is "
+                     help="extra attempts per cell, after a transient "
+                          "error or a lost worker process, before it is "
                           "recorded as an error row")
     swp.add_argument("--serial", action="store_true",
-                     help="disable the process pool")
-    swp.add_argument("--workers", type=int, default=None)
+                     help="run every cell in this process")
+    swp.add_argument("--workers", type=int, default=None,
+                     help="worker processes fed from one FIFO queue "
+                          "(default cpu_count - 1); a killed worker's "
+                          "cell is requeued and the worker respawned")
     swp.add_argument("--telemetry", action="store_true",
                      help="instrument every cell; snapshots ride in the "
                           "artifact and merge across shards")
-    swp.add_argument("--scheduler", action="store_true",
-                     help="run the whole grid under the work-stealing "
-                          "lease scheduler instead of one static shard "
-                          "(incompatible with --shard other than 1/1); "
-                          "worker deaths are reclaimed and respawned")
-    swp.add_argument("--lease-seconds", type=float, default=None,
-                     metavar="S",
-                     help="scheduler lease duration before a silent "
-                          "worker's cell is reclaimed and re-queued")
     swp.add_argument("--compress", type=str, default=None,
                      choices=("auto", "none", "gz", "zst"), metavar="CODEC",
                      help="artifact compression (auto/none/gz/zst); 'auto' "
@@ -580,7 +575,6 @@ def _cmd_sweep(args) -> int:
         SweepSpec,
         drain_on_signals,
         parse_shard_arg,
-        run_scheduled,
         run_shard,
     )
     from .telemetry.jsonl import compression_suffix, resolve_compression
@@ -604,65 +598,41 @@ def _cmd_sweep(args) -> int:
         if args.compress
         else ""
     )
-    if args.scheduler and (shard, num_shards) != (1, 1):
-        print(
-            "error: --scheduler runs the whole grid; "
-            "it cannot be combined with --shard "
-            f"{shard}/{num_shards}",
-            file=sys.stderr,
-        )
-        return 2
-    options = dict(
-        resume=not args.no_resume,
-        retries=args.retries,
-        compression=args.compress,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
-        checkpoint_keep_last=args.keep_last,
-    )
     with drain_on_signals() as stop:
-        if args.scheduler:
-            if args.lease_seconds is not None:
-                options["lease_seconds"] = args.lease_seconds
-            result = run_scheduled(
-                spec,
-                args.out or f"sweep-scheduled.jsonl{suffix}",
-                num_workers=args.workers,
-                stop_requested=stop,
-                **options,
-            )
-        else:
-            result = run_shard(
-                spec,
-                shard,
-                num_shards,
-                args.out or f"sweep-shard-{shard}of{num_shards}.jsonl{suffix}",
-                max_workers=args.workers,
-                serial=args.serial,
-                stop_requested=stop,
-                **options,
-            )
+        result = run_shard(
+            spec,
+            shard,
+            num_shards,
+            args.out or f"sweep-shard-{shard}of{num_shards}.jsonl{suffix}",
+            resume=not args.no_resume,
+            max_workers=args.workers,
+            serial=args.serial,
+            retries=args.retries,
+            compression=args.compress,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir if args.checkpoint_every else None,
+            checkpoint_keep_last=args.keep_last,
+            stop_requested=stop,
+        )
     if stop.requested:
         print(
             "drained: artifact left resumable; "
             "re-run the same command to finish"
         )
+    print(
+        f"shard {shard}/{num_shards}: {len(result.cells)} of {len(spec)} "
+        f"cells -> {result.path}"
+    )
     counts = (
         f"  executed {len(result.executed)}, resumed {len(result.skipped)}, "
         f"errors {len(result.errors)}"
     )
-    if args.scheduler:
-        print(f"scheduled: {len(spec)} cells -> {result.path}")
-        print(
-            f"{counts}; steals {result.steals}, reclaims {result.reclaims}, "
-            f"worker deaths {result.worker_deaths}"
+    if result.worker_deaths:
+        counts += (
+            f"; worker deaths {result.worker_deaths}, "
+            f"reclaims {result.reclaims}"
         )
-    else:
-        print(
-            f"shard {shard}/{num_shards}: {len(result.cells)} of {len(spec)} "
-            f"cells -> {result.path}"
-        )
-        print(counts)
+    print(counts)
     for err in result.errors:
         print(
             f"  ERROR cell {err['cell_id']} "
@@ -697,18 +667,12 @@ def _cmd_status(args) -> int:
         statuses.append(st)
         ewma = st["ewma_cell_seconds"]
         eta = st["eta_seconds"]
-        shard_label = (
-            "sched"
-            if (st["shard"], st["num_shards"]) == (0, 0)
-            else f"{st['shard']}/{st['num_shards']}"
-        )
         rows.append({
-            "shard": shard_label,
+            "shard": f"{st['shard']}/{st['num_shards']}",
             "state": st["state"],
             "done": st["done"],
             "failed": st["failed"],
             "retried": st["retried"],
-            "steals": st["steals"],
             "reclaimed": st["reclaimed"],
             "total": st["cells_total"],
             "cell_s": "-" if ewma is None else f"{ewma:.2f}",

@@ -4,12 +4,10 @@ from .pool import default_workers, fold_results, run_tasks
 from .rng import SeedFactory, spawn_generators
 from .scheduler import (
     SWEEP_EVENT_KIND,
-    Lease,
-    SweepScheduler,
+    WorkQueue,
     event_log_path,
     find_event_logs,
     fold_events,
-    run_scheduled,
 )
 from .sharding import (
     MergedSweep,
@@ -30,15 +28,14 @@ from .signals import DrainFlag, drain_on_signals
 
 __all__ = [
     "DrainFlag",
-    "Lease",
     "MergedSweep",
     "SWEEP_EVENT_KIND",
     "SeedFactory",
     "ShardArtifact",
     "ShardRunResult",
     "SweepCell",
-    "SweepScheduler",
     "SweepSpec",
+    "WorkQueue",
     "artifact_compression",
     "classify_error",
     "default_workers",
@@ -51,7 +48,6 @@ __all__ = [
     "merge_artifacts",
     "parse_shard_arg",
     "partition_cells",
-    "run_scheduled",
     "run_shard",
     "run_tasks",
     "spawn_generators",

@@ -65,7 +65,6 @@ def run_tasks(
     argtuples: Sequence[tuple] | Iterable[tuple],
     max_workers: int | None = None,
     serial: bool = False,
-    chunksize: int = 1,
 ) -> list[Any]:
     """Execute ``fn(*args)`` for every tuple in ``argtuples``.
 
@@ -80,9 +79,6 @@ def run_tasks(
     serial:
         Force in-process execution (useful under debuggers, in tests,
         and on single-core machines).
-    chunksize:
-        Tasks per worker dispatch; raise for many tiny tasks to
-        amortise IPC (the usual map-chunking tradeoff).
 
     Returns
     -------
@@ -91,13 +87,11 @@ def run_tasks(
         task raises propagates to the caller.
     """
     tasks = [(fn, tuple(args)) for args in argtuples]
-    if chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
     workers = default_workers(max_workers, n_tasks=len(tasks) or None)
     if serial or workers == 1 or len(tasks) <= 1:
         return [_call(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_call, tasks, chunksize=chunksize))
+        return list(pool.map(_call, tasks))
 
 
 def fold_results(

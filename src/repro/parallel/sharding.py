@@ -35,10 +35,10 @@ A shard writes one JSONL artifact: a ``shard-manifest`` header
 one ``cell`` row (summary, plus the telemetry snapshot when
 instrumented) or ``cell-error`` row per cell, and a
 ``shard-telemetry`` trailer with the merged snapshot.  :func:`run_shard`
-shares its sweep driver with the scheduler
-(:func:`repro.parallel.scheduler.run_scheduled`): rows are appended as
-they are accepted, so a crash loses at most the in-flight cells, and a
-resume reuses every row whose cell ID is still in the grid.
+runs on the sweep driver (:mod:`repro.parallel.scheduler`): rows are
+appended as they are recorded, so a crash loses at most the in-flight
+cells, and a resume reuses every row whose cell ID is still in the
+grid.
 
 Merging (:func:`merge_artifacts`) accepts any subset of artifacts in
 any order, dedupes by cell ID (value-conflicts raise — that would mean
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -385,13 +384,13 @@ def parse_shard_arg(text: str) -> tuple[int, int]:
 #: Exception classes whose failures are a pure function of the cell's
 #: inputs — a bad value, a missing attribute, a broken invariant, an
 #: unpicklable payload.  Re-running the identical deterministic
-#: computation cannot change the outcome, so retrying (or re-leasing)
-#: them only burns worker time.  Everything else (OSError, MemoryError,
-#: RuntimeError, worker deaths, ...) is treated as transient:
-#: environmental causes — a flaky filesystem, memory pressure, a worker
-#: wedged mid-import, a SIGKILL — can heal between attempts.  The full
-#: taxonomy is pinned by ``tests/parallel/test_classify_errors.py``,
-#: which is the spec the scheduler's re-lease decisions run on.
+#: computation cannot change the outcome, so retrying them only burns
+#: worker time.  Everything else (OSError, MemoryError, RuntimeError,
+#: ...) is treated as transient: environmental causes — a flaky
+#: filesystem, memory pressure, a worker wedged mid-import — can heal
+#: between attempts.  The full taxonomy is pinned by
+#: ``tests/parallel/test_classify_errors.py``, which is the spec the
+#: in-worker retry decisions run on.
 _DETERMINISTIC_ERRORS = (
     ValueError,
     TypeError,
@@ -401,8 +400,7 @@ _DETERMINISTIC_ERRORS = (
     ArithmeticError,
     NotImplementedError,
     # Serialising the same result object fails the same way every
-    # time: a pickling casualty re-leased to another worker would
-    # just fail there too.
+    # time: a pickling casualty retried would just fail again.
     pickle.PicklingError,
     pickle.UnpicklingError,
     # RecursionError subclasses RuntimeError, but unbounded
@@ -416,16 +414,16 @@ def classify_error(exc: BaseException) -> str:
 
     Deterministic failures will reproduce on every retry of the same
     cell (same config, same seed, same code); transient ones might not.
-    The class drives the retry policy in :func:`_guarded_cell`, the
-    re-lease policy in :class:`repro.parallel.scheduler.SweepScheduler`
+    The class drives the retry policy in :func:`_guarded_cell`
     (deterministic failures become ``cell-error`` rows immediately;
-    transient ones re-lease), and is recorded on ``cell-error``
-    artifact rows so a merge report can tell "rerun these shards"
-    casualties from "fix the code" ones.  ``KeyboardInterrupt`` /
-    ``SystemExit`` classify transient — an interrupted worker says
-    nothing about the cell — though :func:`_guarded_cell` never absorbs
-    them (BaseException rips through; the scheduler sees a dead
-    worker instead).
+    transient ones spend the ``retries`` budget), and is recorded on
+    ``cell-error`` artifact rows so a merge report can tell "rerun
+    these shards" casualties from "fix the code" ones.
+    ``KeyboardInterrupt`` / ``SystemExit`` classify transient — an
+    interrupted worker says nothing about the cell — though
+    :func:`_guarded_cell` never absorbs them (BaseException rips
+    through; a fleet coordinator sees a lost worker instead, which the
+    work queue requeues within the same budget).
     """
     return (
         "deterministic"
@@ -476,9 +474,7 @@ def _guarded_cell(
 
 @dataclass
 class ShardRunResult:
-    """Outcome of one :func:`run_shard` or
-    :func:`~repro.parallel.scheduler.run_scheduled` invocation (the
-    latter under the whole-grid ``0/0`` marker)."""
+    """Outcome of one :func:`run_shard` invocation."""
 
     spec: SweepSpec
     shard: int
@@ -491,11 +487,9 @@ class ShardRunResult:
     skipped: list[str] = field(default_factory=list)
     #: Error records (post-retry) produced by this invocation.
     errors: list[dict] = field(default_factory=list)
-    #: Scheduler counters: queue steals, reclaimed leases, dropped
-    #: duplicate results, and worker processes lost mid-cell.
-    steals: int = 0
+    #: Fleet counters: cells taken back from lost workers, and worker
+    #: processes lost.
     reclaims: int = 0
-    duplicates: int = 0
     worker_deaths: int = 0
     #: This invocation's event log (``<artifact>.events.jsonl``).
     events_path: Path | None = None
@@ -554,7 +548,6 @@ def _write_artifact(
     spec: SweepSpec,
     marker: tuple[int, int],
     records: list[dict],
-    extra: dict | None = None,
 ) -> None:
     """Atomically (re)write an artifact: its manifest, then ``records``.
 
@@ -567,11 +560,7 @@ def _write_artifact(
     tmp_path = path.with_name(path.name + ".tmp")
     with JsonlWriter(tmp_path, compression=codec) as fh:
         fh.write_line(
-            _dump(
-                shard_manifest(
-                    spec.to_payload(), spec.fingerprint, *marker, extra=extra
-                )
-            )
+            _dump(shard_manifest(spec.to_payload(), spec.fingerprint, *marker))
         )
         for record in records:
             fh.write_line(_dump(record))
@@ -627,11 +616,14 @@ def run_shard(
     max_workers, serial:
         Cells run in-process (no fork) when ``serial`` or when the
         resolved worker count is 1, with rows in canonical order;
-        otherwise on the scheduler's worker fleet, with rows in
-        completion order (:func:`merge_artifacts` reorders them).
+        otherwise on a fleet of worker processes fed from one FIFO
+        queue, with rows in completion order (:func:`merge_artifacts`
+        reorders them).
     retries:
-        Extra in-worker attempts per cell before an error row is
-        recorded in place of the summary.
+        The per-cell retry budget: extra in-worker attempts after a
+        transient exception, and extra grants after the cell's worker
+        process died (SIGKILL, OOM), before an error row is recorded
+        in place of the summary.
     cell_fn:
         The cell executor, called as ``cell_fn(protocol, lam, seed,
         **kwargs)`` with :meth:`SweepSpec.cell_kwargs` plus the
@@ -658,8 +650,7 @@ def run_shard(
     """
     if not 1 <= shard <= num_shards:
         raise ValueError(f"shard {shard}/{num_shards} out of range")
-    # Deferred: the sweep driver lives with the scheduler, which
-    # imports this module.
+    # Deferred: the sweep driver imports this module.
     from .scheduler import _run_grid
 
     return _run_grid(
@@ -669,15 +660,10 @@ def run_shard(
         marker=(shard, num_shards),
         workers=max_workers,
         serial=serial,
-        scheduled=False,
         resume=resume,
         retries=retries,
         cell_fn=cell_fn,
         compression=compression,
-        # Static shards hold no leases that could expire, and a
-        # failure that outlives the in-worker retries is final.
-        lease_seconds=math.inf,
-        max_lease_attempts=1,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         checkpoint_keep_last=checkpoint_keep_last,

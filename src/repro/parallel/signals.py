@@ -1,6 +1,6 @@
 """Graceful-drain signal handling for long-running sweep processes.
 
-``kill -TERM`` (or Ctrl-C) against a shard runner or the scheduler
+``kill -TERM`` (or Ctrl-C) against a sweep runner (inline or fleet)
 should not tear the process mid-cell: artifacts are append-only and
 atomic per row, but an abrupt exit discards the in-flight cell's work
 and leaves the event log without its ``finish`` record.

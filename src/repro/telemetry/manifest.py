@@ -112,24 +112,19 @@ def shard_manifest(
     spec_fingerprint: str,
     shard: int,
     num_shards: int,
-    extra: dict | None = None,
 ) -> dict:
     """Build the self-describing header of one shard artifact.
 
     ``shard`` is 1-based (``shard/num_shards`` mirrors the CLI's
     ``--shard k/K``); the pair ``(0, 0)`` is reserved for *merged*
     artifacts, which cover an arbitrary subset of the grid rather than
-    one hash-assigned shard — the work-stealing scheduler writes its
-    whole-grid artifact under that marker, with its run parameters in
-    an ``extra={"scheduler": ...}`` block.  ``extra`` keys must not
-    shadow the core keys (same rule as :func:`run_manifest`), and they
-    never participate in spec fingerprints: provenance, not identity.
+    one hash-assigned shard.
     """
     from .. import __version__  # deferred: repro/__init__ imports the engine
 
     if (shard, num_shards) != (0, 0) and not 1 <= shard <= num_shards:
         raise ValueError(f"shard {shard}/{num_shards} out of range")
-    manifest = {
+    return {
         "kind": SHARD_MANIFEST_KIND,
         "schema": MANIFEST_SCHEMA,
         "package": "repro",
@@ -139,9 +134,3 @@ def shard_manifest(
         "spec": dict(spec_payload),
         "spec_fingerprint": spec_fingerprint,
     }
-    if extra:
-        overlap = set(extra) & set(manifest)
-        if overlap:
-            raise ValueError(f"extra keys shadow manifest keys: {sorted(overlap)}")
-        manifest.update(extra)
-    return manifest

@@ -1,10 +1,10 @@
 """Preemptible sweep cells: checkpoint resume through the parallel layer.
 
 Covers the run_cell resume contract (tag derivation, telemetry
-carry-over, the resume sidecar), graceful drain of run_shard /
-run_scheduled, and the chaos headline: a SIGKILLed
-scheduler worker whose lease is reclaimed resumes the cell from its
-snapshot and re-executes only the rounds after it.
+carry-over, the resume sidecar), graceful drain of run_shard inline
+and on a worker fleet, and the chaos headline: the cell of a SIGKILLed
+fleet worker is requeued, resumes from its snapshot and re-executes
+only the rounds after it.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.parallel import (
     SweepSpec,
     fold_events,
     load_artifact,
-    run_scheduled,
+    merge_artifacts,
     run_shard,
 )
 from repro.simulation import SimulationEngine
@@ -171,12 +171,13 @@ class TestRunShardDrain:
 
 
 def _kill_once_cell(*args, **kwargs):
-    """Scheduler chaos cell: SIGKILL the worker once, then delegate.
+    """Fleet chaos cell: SIGKILL the worker running seed 0 once, then
+    delegate.
 
     Module-level so it pickles into spawned workers; the marker file
     makes the kill happen exactly once across respawns."""
     kill_dir = os.environ.get(KILL_DIR_ENV)
-    if kill_dir:
+    if kill_dir and args[2] == 0:
         marker = os.path.join(kill_dir, "killed")
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -190,7 +191,7 @@ def _kill_once_cell(*args, **kwargs):
 
 class TestSchedulerSnapshotReclaim:
     def test_reclaimed_lease_resumes_from_snapshot(self, tmp_path, monkeypatch):
-        """The chaos headline: kill the worker, reclaim the lease, and
+        """The chaos headline: kill the worker, requeue its cell, and
         prove via the resume sidecar that the replacement re-executed
         only the rounds after the seeded snapshot."""
         ckpt_dir = tmp_path / "ckpt"
@@ -198,28 +199,28 @@ class TestSchedulerSnapshotReclaim:
         tag = _seed_snapshot(ckpt_dir, rounds=6, upto=3)
         monkeypatch.setenv(KILL_DIR_ENV, str(tmp_path))
 
-        spec = SweepSpec(protocols=("qlec",), lambdas=(4.0,), seeds=(0,),
+        # Two cells, so the run gets a two-worker fleet (one cell would
+        # run inline, in this process).
+        spec = SweepSpec(protocols=("qlec",), lambdas=(4.0,), seeds=(0, 1),
                          rounds=6)
-        out = tmp_path / "sched.jsonl"
-        result = run_scheduled(
-            spec, out, num_workers=1, cell_fn=_kill_once_cell,
+        out = tmp_path / "fleet.jsonl"
+        result = run_shard(
+            spec, 1, 1, out, max_workers=2, cell_fn=_kill_once_cell,
             checkpoint_every=3, checkpoint_dir=ckpt_dir,
         )
-        assert result.ok and result.worker_deaths >= 1
+        assert result.ok and result.worker_deaths == 1
         assert (tmp_path / "killed").exists()
 
         log = _resume_log(ckpt_dir, tag)
         assert log and log[0]["round_index"] == 3
 
-        clean = run_cell("qlec", 4.0, 0, rounds=6)
-        rows = [r["summary"] for r in load_artifact(out).records
-                if r.get("kind") == "cell"]
-        assert rows == [clean]
+        clean = [run_cell("qlec", 4.0, seed, rounds=6) for seed in (0, 1)]
+        assert merge_artifacts([out]).require_complete().sweep.rows == clean
 
     def test_scheduler_drain_leaves_resumable_artifact(self, tmp_path):
         spec = SweepSpec(protocols=("qlec", "leach"), lambdas=(4.0,),
                          seeds=(0, 1), rounds=2)
-        out = tmp_path / "sched.jsonl"
+        out = tmp_path / "fleet.jsonl"
         flag = DrainFlag()
 
         def first_row_latches() -> bool:
@@ -230,13 +231,13 @@ class TestSchedulerSnapshotReclaim:
                 flag.request()
             return flag()
 
-        drained = run_scheduled(
-            spec, out, num_workers=2, stop_requested=first_row_latches
+        drained = run_shard(
+            spec, 1, 1, out, max_workers=2, stop_requested=first_row_latches
         )
         assert 1 <= len(drained.executed) < len(spec)
         assert assert_fold_matches(drained)["state"] == "stopped"
 
-        finished = run_scheduled(spec, out, num_workers=2)
+        finished = run_shard(spec, 1, 1, out, max_workers=2)
         assert len(finished.skipped) == len(drained.executed)
         assert len(finished.executed) == len(spec) - len(drained.executed)
         assert assert_fold_matches(finished)["state"] == "complete"

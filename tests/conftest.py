@@ -76,7 +76,6 @@ def assert_fold_matches(result) -> dict:
         "failed": len(result.errors),
         "retried": sum(r["attempts"] > 1 for r in fresh),
         "resumed": len(result.skipped),
-        "steals": result.steals,
         "reclaimed": result.reclaims,
         "state": "complete" if done == len(result.cells) else "stopped",
     }

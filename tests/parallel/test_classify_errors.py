@@ -1,10 +1,9 @@
 """The pinned deterministic-vs-transient failure taxonomy.
 
-This table is the spec that `_guarded_cell`'s retry policy and the
-scheduler's re-lease policy run on: a *deterministic* failure is a pure
-function of the cell's inputs (retrying or re-leasing it cannot change
-the outcome), a *transient* one is environmental and may heal between
-attempts.  Changing a classification changes how many times a cluster
+This table is the spec that `_guarded_cell`'s retry policy runs on: a
+*deterministic* failure is a pure function of the cell's inputs
+(retrying it cannot change the outcome), a *transient* one is
+environmental and may heal between attempts.  Changing a classification changes how many times a cluster
 re-runs a failing cell — it should be a deliberate edit here, not an
 accident of an exception hierarchy.
 """
@@ -58,8 +57,8 @@ def test_taxonomy(exc, expected):
 
 def test_base_exceptions_classify_transient():
     # An interrupted worker says nothing about the cell.  _guarded_cell
-    # never absorbs these (BaseException rips through), but the
-    # scheduler records the classification for a lease it reclaims.
+    # never absorbs these (BaseException rips through); the fleet sees
+    # a lost worker, whose cell it likewise treats as transient.
     assert classify_error(KeyboardInterrupt()) == "transient"
     assert classify_error(SystemExit(1)) == "transient"
 

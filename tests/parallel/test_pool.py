@@ -48,12 +48,6 @@ class TestRunTasks:
         with pytest.raises(RuntimeError, match="boom"):
             run_tasks(boom, [(1,)], serial=True)
 
-    def test_chunksize_validation(self):
-        with pytest.raises(ValueError):
-            run_tasks(square, [(1,), (2,)], max_workers=2, chunksize=0)
-        with pytest.raises(ValueError):
-            run_tasks(square, [(1,), (2,)], chunksize=0)
-
     def test_invalid_max_workers_raises(self):
         with pytest.raises(ValueError):
             run_tasks(square, [(1,), (2,)], max_workers=0)
@@ -96,8 +90,7 @@ class TestFoldResults:
 class TestIterTasks:
     """What callers of the retired streaming ``iter_tasks`` relied on,
     now held by ``run_tasks``: lazy iterables of task tuples, submission
-    order under chunked dispatch, in-process serial runs, and argument
-    validation before any task executes."""
+    order on a pool, and in-process serial runs."""
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
@@ -108,7 +101,7 @@ class TestIterTasks:
 
     def test_streams_in_submission_order(self):
         tasks = ((i,) for i in range(8))
-        results = run_tasks(square, tasks, max_workers=2, chunksize=3)
+        results = run_tasks(square, tasks, max_workers=2)
         assert results == [i * i for i in range(8)]
 
     def test_serial_streaming(self, no_pool):
@@ -117,18 +110,6 @@ class TestIterTasks:
     def test_empty(self, no_pool):
         assert run_tasks(square, iter([]), max_workers=2) == []
         assert run_tasks(square, iter([]), serial=True) == []
-
-    def test_invalid_chunksize_raises_eagerly(self):
-        """Regression: validation must fire before the first task runs."""
-        ran = []
-
-        def record(x):
-            ran.append(x)
-            return x
-
-        with pytest.raises(ValueError):
-            run_tasks(record, [(1,), (2,)], serial=True, chunksize=0)
-        assert ran == []
 
 
 class TestDefaultWorkers:

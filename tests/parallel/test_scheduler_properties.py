@@ -1,42 +1,33 @@
-"""Property tests: exactly-once under arbitrary scheduler interleavings.
+"""Property tests: exactly-once under arbitrary work-queue interleavings.
 
-Hypothesis drives the pure :class:`SweepScheduler` state machine
-through random interleavings of every operation it exposes — leases,
-steals, completions, transient and deterministic failures, worker
-deaths, lease expiry, heartbeats, *and* adversarial stale reports from
-workers whose leases were reclaimed — asserting the exactly-once
-partition invariant after every single step, then driving the grid to
-completion and checking that every cell finished exactly once.
+Hypothesis drives the pure :class:`WorkQueue` state machine through
+random interleavings of every operation it exposes — grants,
+completions, transient and deterministic failures, and worker deaths —
+asserting the exactly-once partition invariant after every single step,
+then driving the grid to completion and checking that every cell
+finished exactly once.
 
 This is the paper-level guarantee the chaos suite samples and this
-suite exhausts: no interleaving of steals, reclaims, and duplicate
-leases can lose a cell or finish one twice.
+suite exhausts: no interleaving of grants, failures and lost workers
+can lose a cell or finish one twice, and a cell is granted again only
+after the worker holding it was lost.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.scheduler import (
-    SWEEP_EVENT_KIND,
-    SweepScheduler,
-    fold_events,
-)
+from repro.parallel.scheduler import SWEEP_EVENT_KIND, WorkQueue, fold_events
 from repro.parallel.sharding import SweepCell
 
 WORKERS = ("w0", "w1", "w2", "w3")
 
-#: The operation alphabet.  Stale variants deliberately report from a
-#: worker that may not hold the lease (or for a finished cell).
+#: The operation alphabet.
 OPS = (
     "acquire",
     "complete",
     "fail-transient",
     "fail-deterministic",
-    "stale-complete",
-    "stale-fail",
     "worker-lost",
-    "expire-all",
-    "heartbeat",
 )
 
 
@@ -46,180 +37,164 @@ def make_cells(n: int) -> list[SweepCell]:
     ]
 
 
-def finish_serially(sched: SweepScheduler, clock: float) -> None:
+def finish_serially(queue: WorkQueue) -> None:
     """Drain whatever is left through one well-behaved worker."""
-    # Release any leases still held by the chaos phase via expiry...
-    while not sched.finished:
-        clock += sched.lease_seconds + 1.0
-        sched.reclaim_expired(clock)
-        sched.check_invariants()
-        while (cell := sched.acquire("closer", 0, clock)) is not None:
-            sched.complete("closer", cell.cell_id, {"v": 1}, 1, clock, 0.0)
-            sched.check_invariants()
+    # Workers still holding cells from the chaos phase report them...
+    for worker, cell_id in list(queue.held.items()):
+        queue.complete(worker, cell_id, {"v": 1}, 1, 0.0)
+        queue.check_invariants()
+    # ...then the queue drains in order.
+    while (cell := queue.acquire("closer")) is not None:
+        queue.complete("closer", cell.cell_id, {"v": 1}, 1, 0.0)
+        queue.check_invariants()
 
 
-def drive_randomly(sched: SweepScheduler, cells, data) -> float:
+def assert_regrant_only_after_loss(events: list[dict]) -> None:
+    """Every grant after a cell's first follows a ``worker-dead`` event
+    for the worker that held the cell, and grant counts rise by one."""
+    holder: dict[str, str] = {}
+    grants: dict[str, int] = {}
+    done: set[str] = set()
+    for e in events:
+        if e["event"] == "lease":
+            cid = e["cell_id"]
+            assert cid not in holder, f"cell {cid} granted while held"
+            assert cid not in done, f"finished cell {cid} granted again"
+            assert e["grant"] == grants.get(cid, 0) + 1
+            grants[cid] = e["grant"]
+            holder[cid] = e["worker"]
+        elif e["event"] in ("complete", "error"):
+            cid = e["cell_id"]
+            done.add(cid)
+            # A terminal event either comes from the holder, or is the
+            # WorkerLost row minted when the holder died.
+            if cid in holder:
+                assert holder.pop(cid) == e["worker"]
+        elif e["event"] == "worker-dead" and e["cell_id"] is not None:
+            assert holder.pop(e["cell_id"]) == e["worker"]
+
+
+def drive_randomly(queue: WorkQueue, data) -> None:
     """Run a hypothesis-drawn interleaving of every operation against
-    ``sched``, checking the invariants after each; returns the clock."""
-    clock = 0.0
+    ``queue``, checking the invariants after each."""
     steps = data.draw(
-        st.lists(st.sampled_from(OPS), max_size=4 * len(cells)),
+        st.lists(st.sampled_from(OPS), max_size=4 * len(queue.cells)),
         label="interleaving",
     )
     for op in steps:
-        clock += 1.0
         worker = data.draw(st.sampled_from(WORKERS), label=op)
-        held = sched.lease_of(worker)
+        held = queue.held.get(worker)
         if op == "acquire" and held is None:
-            sched.acquire(worker, data.draw(
-                st.integers(0, 3), label="index"
-            ), clock)
+            queue.acquire(worker)
         elif op == "complete" and held is not None:
             attempts = data.draw(st.integers(1, 2), label="attempts")
-            sched.complete(worker, held.cell_id, {"v": 1}, attempts, clock, 0.0)
+            queue.complete(worker, held, {"v": 1}, attempts, 0.0)
         elif op == "fail-transient" and held is not None:
-            sched.fail(
-                worker, held.cell_id,
+            queue.fail(
+                worker, held,
                 {"type": "OSError", "message": "x", "class": "transient"},
-                1, clock, 0.0,
+                1 + queue.retries, 0.0,
             )
         elif op == "fail-deterministic" and held is not None:
-            sched.fail(
-                worker, held.cell_id,
+            queue.fail(
+                worker, held,
                 {
                     "type": "ValueError",
                     "message": "x",
                     "class": "deterministic",
                 },
-                1, clock, 0.0,
-            )
-        elif op == "stale-complete":
-            # A late success for an arbitrary cell: accepted iff the
-            # cell is unfinished, counted duplicate otherwise —
-            # never a second row.
-            cell = data.draw(st.sampled_from(cells), label="stale cell")
-            sched.complete(worker, cell.cell_id, {"v": 1}, 1, clock, 0.0)
-        elif op == "stale-fail":
-            cell = data.draw(st.sampled_from(cells), label="stale cell")
-            sched.fail(
-                worker, cell.cell_id,
-                {"type": "OSError", "message": "x", "class": "transient"},
-                1, clock, 0.0,
+                1, 0.0,
             )
         elif op == "worker-lost":
-            sched.worker_lost(worker, clock)
-        elif op == "expire-all":
-            clock += sched.lease_seconds + 1.0
-            sched.reclaim_expired(clock)
-        elif op == "heartbeat":
-            sched.heartbeat(worker, clock)
-        sched.check_invariants()
-    return clock
+            queue.worker_lost(worker)
+        queue.check_invariants()
 
 
 class TestExactlyOnce:
     @given(
         n_cells=st.integers(min_value=1, max_value=8),
-        num_queues=st.integers(min_value=1, max_value=4),
-        max_attempts=st.integers(min_value=1, max_value=3),
+        retries=st.integers(min_value=0, max_value=2),
         data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
     def test_any_interleaving_yields_exactly_once_rows(
-        self, n_cells, num_queues, max_attempts, data
+        self, n_cells, retries, data
     ):
         cells = make_cells(n_cells)
-        sched = SweepScheduler(
-            cells,
-            num_queues,
-            lease_seconds=10.0,
-            max_lease_attempts=max_attempts,
-        )
-        clock = drive_randomly(sched, cells, data)
-        finish_serially(sched, clock)
+        queue = WorkQueue(cells, retries=retries)
+        drive_randomly(queue, data)
+        finish_serially(queue)
 
-        finished = set(sched.rows) | set(sched.errors)
+        finished = set(queue.rows) | set(queue.errors)
         assert finished == {c.cell_id for c in cells}
-        assert not (set(sched.rows) & set(sched.errors))
-        rows, errors, missing = sched.partial_sweep()
-        assert not missing
-        assert len(rows) + len(errors) == n_cells
-        # Attempt budget held for every cell that ever leased.
-        assert all(
-            1 <= a <= max_attempts for a in sched.attempts.values()
-        )
-        # The event log is a gapless, seq-ordered history.
-        assert [e["seq"] for e in sched.events] == list(
-            range(1, len(sched.events) + 1)
-        )
+        assert not (set(queue.rows) & set(queue.errors))
+        assert not queue.held and not queue.queue
+        # Retry budget held for every cell that was ever granted.
+        assert all(1 <= g <= retries + 1 for g in queue.grants.values())
+        # Grants beyond the first happen only after the holder died.
+        assert_regrant_only_after_loss(queue.events)
+        terminal = [e for e in queue.events if e["event"] in ("complete", "error")]
+        assert sorted(e["cell_id"] for e in terminal) == sorted(finished)
 
     @given(
         n_cells=st.integers(min_value=1, max_value=8),
-        num_queues=st.integers(min_value=1, max_value=4),
-        max_attempts=st.integers(min_value=1, max_value=3),
+        retries=st.integers(min_value=0, max_value=2),
         data=st.data(),
     )
     @settings(max_examples=120, deadline=None)
     def test_fold_of_any_interleaving_equals_machine_counters(
-        self, n_cells, num_queues, max_attempts, data
+        self, n_cells, retries, data
     ):
-        # `repro status` is a fold over the log; whatever the machine
+        # `repro status` is a fold over the log; whatever the queue
         # went through, the fold of its events between a start and a
-        # finish record must say what the machine itself counted.
-        cells = make_cells(n_cells)
-        sched = SweepScheduler(
-            cells,
-            num_queues,
-            lease_seconds=10.0,
-            max_lease_attempts=max_attempts,
-        )
-        finish_serially(sched, drive_randomly(sched, cells, data))
+        # finish record must say what the queue itself counted.
+        queue = WorkQueue(make_cells(n_cells), retries=retries)
+        drive_randomly(queue, data)
+        finish_serially(queue)
         start = {
             "event": "start", "schema": 1, "spec_fingerprint": "0" * 16,
-            "shard": 0, "num_shards": 0, "cells_total": n_cells,
+            "shard": 1, "num_shards": 1, "cells_total": n_cells,
             "resumed": 0, "started_unix": 0.0,
         }
         log = [
             {**record, "kind": SWEEP_EVENT_KIND, "seq": i, "t": float(i)}
             for i, record in enumerate(
-                [start, *sched.events, {"event": "finish", "state": "complete"}]
+                [start, *queue.events, {"event": "finish", "state": "complete"}]
             )
         ]
         status = fold_events(log)
-        finished = [*sched.rows.values(), *sched.errors.values()]
-        assert status["done"] == len(sched.rows) + len(sched.errors)
-        assert status["failed"] == len(sched.errors)
+        finished = [*queue.rows.values(), *queue.errors.values()]
+        assert status["done"] == len(queue.rows) + len(queue.errors)
+        assert status["failed"] == len(queue.errors)
         assert status["retried"] == sum(r["attempts"] > 1 for r in finished)
-        assert status["steals"] == sched.steals
-        assert status["reclaimed"] == sched.reclaims
+        assert status["reclaimed"] == queue.reclaims
         assert status["state"] == "complete"
         assert status["eta_seconds"] == 0.0
 
     @given(
         n_cells=st.integers(min_value=1, max_value=10),
-        num_queues=st.integers(min_value=1, max_value=5),
+        n_workers=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=60, deadline=None)
     def test_pure_drain_completes_every_cell_without_duplicates(
-        self, n_cells, num_queues
+        self, n_cells, n_workers
     ):
         # The no-chaos baseline: a fleet of greedy workers draining the
-        # queues (with steals) finishes the grid exactly once.
-        sched = SweepScheduler(make_cells(n_cells), num_queues)
-        clock = 0.0
-        while not sched.finished:
-            clock += 1.0
+        # queue finishes the grid exactly once, in canonical order.
+        cells = make_cells(n_cells)
+        queue = WorkQueue(cells)
+        order = []
+        while not queue.finished:
             progressed = False
-            for i, worker in enumerate(WORKERS):
-                if sched.lease_of(worker) is not None:
-                    continue
-                cell = sched.acquire(worker, i, clock)
+            for worker in WORKERS[:n_workers]:
+                cell = queue.acquire(worker)
                 if cell is None:
                     continue
                 progressed = True
-                sched.complete(worker, cell.cell_id, {"v": 1}, 1, clock, 0.0)
-                sched.check_invariants()
-            assert progressed, "scheduler wedged with work outstanding"
-        assert len(sched.rows) == n_cells
-        assert sched.duplicates == 0
-        assert not sched.errors
+                order.append(cell.cell_id)
+                queue.complete(worker, cell.cell_id, {"v": 1}, 1, 0.0)
+                queue.check_invariants()
+            assert progressed, "queue wedged with work outstanding"
+        assert order == [c.cell_id for c in cells]
+        assert len(queue.rows) == n_cells
+        assert not queue.errors and queue.reclaims == 0

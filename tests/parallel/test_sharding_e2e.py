@@ -15,7 +15,6 @@ import re
 import pytest
 
 from repro.analysis.sweep import run_cell, sweep_from_spec
-from repro.parallel.scheduler import run_scheduled
 from repro.parallel.sharding import (
     CELL_ERROR_KIND,
     CELL_KIND,
@@ -76,6 +75,17 @@ class TestShardDeterminism:
         assert (
             merge_artifacts([a.path]).sweep.rows
             == merge_artifacts([b.path]).sweep.rows
+        )
+
+
+    def test_two_worker_fleet_equals_serial(self, serial_sweep, tmp_path):
+        """serial ≡ sharded ≡ fleet: the whole grid on two workers."""
+        result = run_shard(SPEC, 1, 1, tmp_path / "fleet.jsonl", max_workers=2)
+        assert sorted(result.executed) == sorted(c.cell_id for c in SPEC.cells())
+        merged = merge_artifacts([result.path]).require_complete()
+        assert merged.sweep.rows == serial_sweep.rows
+        assert deterministic_view(merged.sweep.telemetry) == deterministic_view(
+            serial_sweep.telemetry
         )
 
 
@@ -204,15 +214,14 @@ class TestResume:
         assert merged.sweep.telemetry is not None
 
 
-#: Both artifact-writing entry points, run the way their CLI defaults
-#: would run a tiny grid; they share one sweep driver and must share its
-#: resume and refusal rules.
+#: Both execution paths of the one sweep driver — inline and a
+#: two-worker fleet; they must share its resume and refusal rules.
 ENTRY_POINTS = {
     "run_shard": lambda spec, path, **kw: run_shard(
         spec, 1, 1, path, serial=True, **kw
     ),
-    "run_scheduled": lambda spec, path, **kw: run_scheduled(
-        spec, path, num_workers=1, poll_seconds=0.02, **kw
+    "fleet": lambda spec, path, **kw: run_shard(
+        spec, 1, 1, path, max_workers=2, **kw
     ),
 }
 

@@ -202,29 +202,19 @@ class TestSchedulerStatus:
     def test_scheduler_counters_flow_into_rows(self):
         cell = {"cell_id": "0" * 16, "worker": "w1", "grant": 1}
         log = [
-            _start(cells_total=2, shard=0, num_shards=0),
-            *[_event("steal", 0.1, **cell) for _ in range(3)],
+            _start(cells_total=2, shard=1, num_shards=1),
+            _event("lease", 0.1, **cell),
+            _event("worker-dead", 0.2, worker="w1", cell_id="0" * 16,
+                   reason="worker-died"),
             _event("reclaim", 0.2, reason="worker-died", **cell),
+            _event("requeue", 0.2, cell_id="0" * 16, grant=1,
+                   reason="worker-died"),
             _cell(1.0),
         ]
         row = fold_events(log)
-        assert (row["shard"], row["num_shards"]) == (0, 0)
-        assert row["steals"] == 3
+        assert (row["shard"], row["num_shards"]) == (1, 1)
         assert row["reclaimed"] == 1
-
-    def test_run_scheduled_writes_live_sidecar(self, tmp_path):
-        from repro.parallel.scheduler import run_scheduled
-
-        out = tmp_path / "sched.jsonl"
-        result = run_scheduled(SPEC, out, num_workers=2, poll_seconds=0.02)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "sched.jsonl", "sched.jsonl.events.jsonl",
-        ]
-        status = assert_fold_matches(result)
-        assert status["state"] == "complete"
-        assert status["done"] == len(SPEC)
-        assert status["failed"] == 0
-        assert (status["shard"], status["num_shards"]) == (0, 0)
+        assert row["done"] == 1
 
     def test_fleet_shard_writes_only_the_log(self, tmp_path):
         out = tmp_path / "shard.jsonl"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.telemetry.jsonl import read_jsonl_tolerant
 
 
 class TestParser:
@@ -349,35 +350,37 @@ class TestSchedulerCli:
     ]
 
     def test_scheduler_runs_whole_grid(self, tmp_path, capsys):
-        out = tmp_path / "sched.jsonl"
+        out = tmp_path / "fleet.jsonl"
         assert main(
-            ["sweep", *self.GRID, "--scheduler", "--workers", "2",
-             "--out", str(out)]
+            ["sweep", *self.GRID, "--workers", "2", "--out", str(out)]
         ) == 0
         stdout = capsys.readouterr().out
-        assert "scheduled: 4 cells" in stdout
+        assert "shard 1/1: 4 of 4 cells" in stdout
         assert "executed 4, resumed 0, errors 0" in stdout
-        assert out.exists()
+        events = read_jsonl_tolerant(f"{out}.events.jsonl")
+        leases = [e for e in events if e["event"] == "lease"]
+        assert {e["worker"] for e in leases} == {"w0", "w1"}
 
     def test_scheduler_resume_skips(self, tmp_path, capsys):
-        out = tmp_path / "sched.jsonl"
-        args = ["sweep", *self.GRID, "--scheduler", "--out", str(out)]
+        out = tmp_path / "fleet.jsonl"
+        args = ["sweep", *self.GRID, "--workers", "2", "--out", str(out)]
         assert main(args) == 0
         before = out.read_bytes()
         assert main(args) == 0
         assert "executed 0, resumed 4" in capsys.readouterr().out
         assert out.read_bytes() == before
 
-    def test_scheduler_rejects_shard_selector(self, capsys):
-        assert main(
-            ["sweep", *self.GRID, "--scheduler", "--shard", "1/2"]
-        ) == 2
-        assert "cannot be combined" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--scheduler", "--lease-seconds=5"])
+    def test_retired_scheduler_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_compressed_scheduled_artifact_merges(self, tmp_path, capsys):
-        out = tmp_path / "sched.jsonl.gz"
+        out = tmp_path / "fleet.jsonl.gz"
         assert main(
-            ["sweep", *self.GRID, "--scheduler", "--compress", "gz",
+            ["sweep", *self.GRID, "--workers", "2", "--compress", "gz",
              "--out", str(out)]
         ) == 0
         capsys.readouterr()
@@ -406,8 +409,8 @@ class TestStatusUnderScheduler:
     def test_rollup_mixes_compressed_shards_and_scheduler(
         self, tmp_path, capsys
     ):
-        # A fleet of two gz static shards plus one scheduled run: the
-        # rollup must count every sidecar and label the scheduler row.
+        # Two gz static shards plus one whole-grid fleet run: the
+        # rollup must count every sidecar and label every row.
         for k in (1, 2):
             assert main(
                 ["sweep", *self.GRID, "--serial", "--shard", f"{k}/2",
@@ -415,15 +418,15 @@ class TestStatusUnderScheduler:
                  "--out", str(tmp_path / f"s{k}.jsonl.gz")]
             ) == 0
         assert main(
-            ["sweep", *self.GRID, "--scheduler",
-             "--out", str(tmp_path / "sched.jsonl")]
+            ["sweep", *self.GRID, "--workers", "2",
+             "--out", str(tmp_path / "fleet.jsonl")]
         ) == 0
         capsys.readouterr()
         assert main(["status", str(tmp_path)]) == 0
         stdout = capsys.readouterr().out
-        assert "sched" in stdout
+        assert "1/1" in stdout
         assert "1/2" in stdout and "2/2" in stdout
-        assert "steals" in stdout and "reclaimed" in stdout
+        assert "reclaimed" in stdout and "steals" not in stdout
         assert "fleet: 8/8 cells done, 0 failed (complete)" in stdout
 
 
